@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -210,10 +208,7 @@ def cmd_kernel(args) -> int:
     _write_csv(
         out / "L.csv",
         "t,L_closed,L_quad",
-        (
-            (t, green_weight_integral(params, float(t)), integrate_green(params, float(t), one, args.quad))
-            for t in ts
-        ),
+        zip(ts, green_weight_integral(params, ts), integrate_green(params, ts, one, args.quad)),
     )
     n_value, t_star = green_weight_integral_max(params)
     print(f"N = {_fmt(n_value)} at t_star = {_fmt(t_star)}")
@@ -282,26 +277,23 @@ def _combo_checks(alpha: float, sigma: float, n: int = 48) -> list[_Check]:
     tag = f"alpha_{alpha:g}_sigma_{sigma:g}"
     one = lambda s: np.ones_like(np.asarray(s, dtype=float))
     ts = np.linspace(0.0, 1.0, 34)[1:-1]  # 32 interior points
-    consist = max(
-        abs(integrate_green(params, float(t), one, n) - green_weight_integral(params, float(t)))
-        for t in ts
-    )
+    consist = np.max(np.abs(integrate_green(params, ts, one, n) - green_weight_integral(params, ts)))
     checks = [_Check(f"weight_integral_consistency_{tag}", consist, 1e-8)]
     ends = max(abs(green_weight_integral(params, 0.0)), abs(green_weight_integral(params, 1.0)))
     checks.append(_Check(f"weight_integral_boundary_{tag}", ends, 1e-12))
     fcos = lambda s: np.cos(np.asarray(s, dtype=float))
-    split = max(
-        abs(integrate_green(params, float(t), fcos, n) - integrate_green(params, float(t), fcos, 2 * n))
-        for t in ts
+    split = np.max(
+        np.abs(integrate_green(params, ts, fcos, n) - integrate_green(params, ts, fcos, 2 * n))
     )
     checks.append(_Check(f"split_consistency_{tag}", split, 1e-9))
     # |H(t) - H(0)| dominated by the closed bound, for sampled bounded forcings
     worst = -math.inf
+    tb = ts[::4]
     for f_reg in (one, fcos, lambda s: 0.25 + np.asarray(s)):
         m_bound = float(np.max(np.abs(f_reg(np.linspace(0.0, 1.0, 2001)))))
-        for t in ts[::4]:
-            h_t = abs(integrate_green(params, float(t), f_reg, n))
-            worst = max(worst, h_t - origin_continuity_bound(params, float(t), m_bound))
+        h_t = np.abs(integrate_green(params, tb, f_reg, n))
+        bound = [origin_continuity_bound(params, float(t), m_bound) for t in tb]
+        worst = max(worst, float(np.max(h_t - bound)))
     checks.append(_Check(f"origin_bound_domination_{tag}", worst, 1e-12))
     return checks
 
@@ -356,22 +348,14 @@ def _contraction_checks() -> list[_Check]:
     return checks
 
 
-def run_verify_suite(seed: int = 0, perturb_kernel: float = 0.0, threads: int | None = None) -> dict:
+def run_verify_suite(seed: int = 0, perturb_kernel: float = 0.0) -> dict:
     """Run every invariant check across the built-in parameter sweep."""
-    if threads is None:
-        threads = int(os.environ.get("FRAK_SOLVE_THREADS", "1") or "1")
-    threads = max(1, threads)
     checks: list[_Check] = []
     for alpha in SWEEP_ALPHAS:
         checks.extend(_kernel_checks(alpha, seed, perturb_kernel))
-    combos = [(a, s) for a in SWEEP_ALPHAS for s in SWEEP_SIGMAS]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(lambda c: _combo_checks(*c), combos):
-                checks.extend(result)
-    else:
-        for combo in combos:
-            checks.extend(_combo_checks(*combo))
+    for alpha in SWEEP_ALPHAS:
+        for sigma in SWEEP_SIGMAS:
+            checks.extend(_combo_checks(alpha, sigma))
     checks.extend(_beta_identity_checks(seed))
     checks.extend(_quadrature_checks())
     checks.extend(_contraction_checks())

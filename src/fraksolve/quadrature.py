@@ -2,6 +2,11 @@
 and the split composite scheme integrating the Green kernel against
 forcings that carry that singularity.
 
+``split_panels`` builds that scheme's sample points and coefficients for
+a whole vector of t at once; the solver's collocation operator, and
+``integrate_green`` with it the verification suite, both use it, so
+there is one implementation of the split rule.
+
 Rules come from the three-term recurrence of the Jacobi-type orthogonal
 polynomials via eigen-decomposition of the symmetric tridiagonal
 recurrence matrix.  The implicit-shift QL iteration is implemented here;
@@ -26,6 +31,7 @@ __all__ = [
     "jacobi_rule",
     "legendre_rule",
     "integrate_green",
+    "split_panels",
     "MAX_POINTS",
     "RuleConfigError",
 ]
@@ -187,34 +193,45 @@ def legendre_rule(n: int) -> QuadRule:
     return QuadRule(nodes=nodes, weights=weights, exponent_b=0.0)
 
 
-def integrate_green(params: GreenParams, t: float, f_reg, n: int) -> float:
+def split_panels(
+    params: GreenParams, t, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample points and coefficients of the split rule for each t.
+
+    Returns (s_left, coef_left, s_right, coef_right), each of shape
+    (len(t), n), such that for a regularized forcing f_reg continuous on
+    [0, 1] the integral over s of G(t_i,s) s^(-sigma) f_reg(s) is
+    coef_left[i] @ f_reg(s_left[i]) + coef_right[i] @ f_reg(s_right[i]).
+
+    The kernel has a derivative kink at s = t, so the integral splits
+    there: on [0, t] the substitution s = t*x maps the weight to
+    x^(-sigma) and reuses the canonical Jacobi rule (factor t^(1-sigma));
+    on [t, 1] the integrand is smooth and a Legendre rule integrates it
+    with s^(-sigma) folded in.  A panel of zero length gets zero
+    coefficients.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or not np.all((t >= 0.0) & (t <= 1.0)):
+        raise ValueError("split_panels: t must be a 1-d array of values in [0, 1]")
+    sg = params.sigma
+    tc = t[:, None]
+    jr = jacobi_rule(n, sg)
+    s_left = tc * jr.nodes
+    coef_left = tc ** (1.0 - sg) * jr.weights * green_eval(params, tc, s_left)
+    lr = legendre_rule(n)
+    s_right = tc + (1.0 - tc) * lr.nodes  # >= the first node > 0
+    coef_right = (1.0 - tc) * lr.weights * green_eval(params, tc, s_right) * s_right ** (-sg)
+    return s_left, coef_left, s_right, coef_right
+
+
+def integrate_green(params: GreenParams, t, f_reg, n: int):
     """Integral over s of G(t,s) s^(-sigma) f_reg(s), f_reg continuous.
 
     f_reg is the regularized forcing s^sigma F(s); it must accept numpy
-    arrays.  The kernel has a derivative kink at s = t, so the integral
-    splits there: on [0, t] the substitution s = t*x maps the weight to
-    x^(-sigma) and reuses the canonical Jacobi rule (factor t^(1-sigma));
-    on [t, 1] the integrand is smooth and a Legendre rule integrates it
-    with s^(-sigma) folded in.
+    arrays.  The sum is the one ``split_panels`` defines, the same the
+    solver's collocation operator applies.  A scalar t gives a float, a
+    1-d array of t an array.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("integrate_green: t must lie in [0, 1]")
-    n = _check_points(n)
-    sg = params.sigma
-    total = 0.0
-    if t > 0.0:
-        rule = jacobi_rule(n, sg)
-        s_left = t * rule.nodes
-        total += t ** (1.0 - sg) * float(
-            np.dot(rule.weights, green_eval(params, t, s_left) * f_reg(s_left))
-        )
-    if t < 1.0:
-        rule = legendre_rule(n)
-        s_right = t + (1.0 - t) * rule.nodes
-        total += (1.0 - t) * float(
-            np.dot(
-                rule.weights,
-                green_eval(params, t, s_right) * s_right ** (-sg) * f_reg(s_right),
-            )
-        )
-    return total
+    s_left, coef_left, s_right, coef_right = split_panels(params, np.atleast_1d(t), n)
+    out = (coef_left * f_reg(s_left)).sum(axis=1) + (coef_right * f_reg(s_right)).sum(axis=1)
+    return float(out[0]) if np.ndim(t) == 0 else out

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import exprparse
 from .exprparse import Expression
-from .kernel import GreenParams, green_eval, green_weight_integral_max
-from .quadrature import MAX_POINTS, jacobi_rule, legendre_rule
+from .kernel import GreenParams, green_weight_integral_max
+from .quadrature import MAX_POINTS, split_panels
 from .specfun import gamma
 
 __all__ = [
@@ -285,42 +285,24 @@ class SolutionGrid:
 class DiscreteGreenOperator:
     """One Picard sweep, precomputed for fixed (params, grid, quadrature).
 
-    Per collocation node the split quadrature samples are fixed, so
-    kernel values, rule weights and the barycentric maps from grid values
-    to sample points are all matrices built once.  ``apply`` is then a
-    handful of vectorized operations; per-node sums use a fixed order, so
-    results do not depend on scheduling.
+    Per collocation node the split quadrature samples are fixed
+    (``split_panels``), so kernel values, rule weights and the
+    barycentric maps from grid values to sample points are all matrices
+    built once.  ``apply`` is then a handful of vectorized operations;
+    per-node sums use a fixed order, so results do not depend on
+    scheduling.
     """
 
     def __init__(self, params: GreenParams, grid_points: int, quad_points: int):
-        a, sg = params.alpha, params.sigma
         self.params = params
         tt = chebyshev_lobatto_nodes(grid_points)
         self.nodes = tt
-        ga = gamma(a)
-
-        jr = jacobi_rule(quad_points, sg)
-        lr = legendre_rule(quad_points)
-
-        # left panels [0, t_i]: s = t x, weight x^(-sigma) absorbed
-        s_left = tt[:, None] * jr.nodes[None, :]
-        coef_left = tt[:, None] ** (1.0 - sg) * jr.weights[None, :] * green_eval(
-            params, tt[:, None], s_left
+        self.s_left, self.coef_left, self.s_right, self.coef_right = split_panels(
+            params, tt, quad_points
         )
-        # right panels [t_i, 1]: s^(-sigma) folded into the integrand
-        s_right = tt[:, None] + (1.0 - tt[:, None]) * lr.nodes[None, :]
-        with np.errstate(divide="ignore"):
-            sing = np.where(s_right > 0.0, s_right, 1.0) ** (-sg)
-        coef_right = (1.0 - tt[:, None]) * lr.weights[None, :] * green_eval(
-            params, tt[:, None], s_right
-        ) * sing
-
-        self.s_left, self.coef_left = s_left, coef_left
-        self.s_right, self.coef_right = s_right, coef_right
-
         w = _bary_weights(grid_points)
-        self._interp_left = _bary_matrix(tt, w, s_left.ravel())
-        self._interp_right = _bary_matrix(tt, w, s_right.ravel())
+        self._interp_left = _bary_matrix(tt, w, self.s_left.ravel())
+        self._interp_right = _bary_matrix(tt, w, self.s_right.ravel())
 
     def apply(self, values: np.ndarray, g: Callable, enforce_cone: bool) -> np.ndarray:
         m, n = self.s_left.shape

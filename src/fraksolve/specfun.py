@@ -1,9 +1,7 @@
-"""Gamma and beta functions.
+"""Gamma and beta functions on positive reals, from libm.
 
-Self-contained Lanczos approximation (g = 7, 9 coefficients) so the
-package carries no special-function dependency.  All callers in this
-package need positive real arguments only; nonpositive input is a
-programming error and raises ``ValueError``.
+All callers in this package need positive real arguments only;
+nonpositive input is a programming error and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -12,61 +10,26 @@ import math
 
 __all__ = ["gamma", "gammaln", "beta", "betaln"]
 
-# Lanczos partial-fraction coefficients for g = 7.  The approximation is
-#   Gamma(x) = sqrt(2*pi) * t^(x-1/2) * exp(-t) * A(x),  t = x + g - 1/2,
-#   A(x) = c0 + sum_k c_k / (x - 1 + k),
-# accurate to ~1e-15 relative for x >= 1/2; arguments below 1/2 go through
-# the reflection formula.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_sum(x: float) -> float:
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (x - 1.0 + k)
-    return acc
-
 
 def gamma(x: float) -> float:
     """Gamma function for x > 0."""
     if not x > 0.0:
         raise ValueError(f"gamma: argument must be positive, got {x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    t = x + _LANCZOS_G - 0.5
-    return _SQRT_2PI * t ** (x - 0.5) * math.exp(-t) * _lanczos_sum(x)
+    return math.gamma(x)
 
 
 def gammaln(x: float) -> float:
     """log(Gamma(x)) for x > 0, computed without forming Gamma(x)."""
     if not x > 0.0:
         raise ValueError(f"gammaln: argument must be positive, got {x!r}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - gammaln(1.0 - x)
-    t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(_lanczos_sum(x))
+    return math.lgamma(x)
 
 
 def betaln(x: float, y: float) -> float:
     """log(B(x, y)) for x, y > 0."""
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"betaln: arguments must be positive, got {x!r}, {y!r}")
-    return gammaln(x) + gammaln(y) - gammaln(x + y)
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
 def beta(x: float, y: float) -> float:

@@ -38,6 +38,48 @@ def test_green_anchor_values():
     assert green_eval(p4, 0.5, 0.5) == pytest.approx(1.0 / 192.0, rel=1e-13)
 
 
+# (alpha, t, s) samples of the verify suite's positivity check (seeds
+# 100019, 100025, 100047, 100050) where G is ~1e-17 or smaller and the
+# two-term form of the s < t branch cancelled to zero
+CANCELLATION_POINTS = (
+    (3.01, 0.9999998448241932, 0.0005891379895068827),
+    (3.5, 0.9980575900980428, 3.526284175880967e-06),
+    (4.0, 0.9863852004483331, 2.8337307167447534e-07),
+    (3.01, 0.9998392359941203, 7.69303711878333e-06),
+)
+
+
+@pytest.mark.parametrize("alpha,t,s", CANCELLATION_POINTS)
+def test_green_positive_where_terms_cancel(alpha, t, s):
+    # array arguments, as the suite passes them
+    assert green_eval(GreenParams(alpha, 0.5), np.array([t]), np.array([s]))[0] > 0.0
+
+
+def _green_mp(mpmath, alpha, t, s):
+    a, t, s = mpmath.mpf(alpha), mpmath.mpf(t), mpmath.mpf(s)
+    val = (1 - s) ** (a - 2) * t ** (a - 2) * ((s - t) + (a - 2) * (1 - t) * s)
+    if s < t:
+        val += (t - s) ** (a - 1)
+    return val / mpmath.gamma(a)
+
+
+@pytest.mark.parametrize("alpha", (3.01, 3.3, 3.5, 3.99, 4.0))
+def test_green_below_diagonal_matches_mpmath(alpha):
+    # oracle: the defining two-term form at 40 digits, on s < t pairs
+    # spread over the square, near t = 1 and near s = 0
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(int(alpha * 1000))
+    t = rng.uniform(0.0, 1.0, size=120)
+    t[:40] = 1.0 - 10.0 ** -rng.integers(1, 13, size=40)
+    s = t * rng.uniform(0.0, 1.0, size=120)
+    s[40:80] = t[40:80] * 10.0 ** -rng.uniform(0.0, 12.0, size=40)
+    got = green_eval(GreenParams(alpha, 0.5), t, s)
+    with mpmath.workdps(40):
+        ref = np.array([float(_green_mp(mpmath, alpha, ti, si)) for ti, si in zip(t, s)])
+    assert np.all(s < t) and np.all(ref > 0.0)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
 def test_green_domain_errors():
     p = GreenParams(3.5, 0.5)
     for t, s in ((-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.2)):

@@ -160,3 +160,25 @@ def test_integrate_green_split_consistency():
     for t in np.linspace(0.0, 1.0, 17):
         d = abs(integrate_green(p, float(t), fcos, 48) - integrate_green(p, float(t), fcos, 96))
         assert d <= 1e-9
+
+
+def test_integrate_green_array_matches_scalar_calls():
+    p = GreenParams(3.01, 0.9)
+    fcos = lambda s: np.cos(np.asarray(s, dtype=float))
+    ts = np.concatenate([[0.0], np.linspace(0.0, 1.0, 13)[1:-1], [1e-9, 1.0 - 1e-9, 1.0]])
+    batched = integrate_green(p, ts, fcos, 32)
+    assert batched.shape == ts.shape
+    scalar = np.array([integrate_green(p, float(t), fcos, 32) for t in ts])
+    assert isinstance(integrate_green(p, 0.5, fcos, 32), float)
+    np.testing.assert_allclose(batched, scalar, rtol=1e-14, atol=0.0)
+    assert batched[0] == 0.0 and batched[-1] == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.0 + 1e-12, float("nan")])
+def test_integrate_green_rejects_t_outside_unit_interval(bad):
+    p = GreenParams(3.5, 0.5)
+    one = lambda s: np.ones_like(np.asarray(s, dtype=float))
+    with pytest.raises(ValueError):
+        integrate_green(p, np.array([0.0, 0.5, bad]), one, 16)
+    with pytest.raises(ValueError):
+        integrate_green(p, bad, one, 16)
