@@ -89,6 +89,14 @@ def _load_problem_file(path: str) -> dict:
     return data
 
 
+def _int_field(data: dict, key: str, default: int) -> int:
+    """An integer problem field; 33.0 is accepted, 33.7 is an error."""
+    val = data.get(key, default)
+    if not float(val).is_integer():
+        raise ValueError(f"{key} must be an integer, got {val!r}")
+    return int(float(val))
+
+
 def _build_spec(args) -> ProblemSpec:
     data: dict = {}
     if args.problem:
@@ -121,10 +129,10 @@ def _build_spec(args) -> ProblemSpec:
         g=g_text,
         lambda_claim=float(data["lambda"]),
         tau=float(data["tau"]),
-        quad_points=int(data.get("quad_points", 48)),
-        grid_points=int(data.get("grid_points", 33)),
+        quad_points=_int_field(data, "quad_points", 48),
+        grid_points=_int_field(data, "grid_points", 33),
         tol=float(data.get("tol", 1e-10)),
-        max_iters=int(data.get("max_iters", 200)),
+        max_iters=_int_field(data, "max_iters", 200),
         u_max=float(data.get("u_max", 10.0)),
         enforce_cone=bool(data.get("enforce_cone", True)),
     )

@@ -8,17 +8,14 @@ a whole vector of t at once; the solver's collocation operator, and
 there is one implementation of the split rule.
 
 Rules come from the three-term recurrence of the Jacobi-type orthogonal
-polynomials via eigen-decomposition of the symmetric tridiagonal
-recurrence matrix.  The implicit-shift QL iteration is implemented here;
-n <= 256 keeps that cheap and the package free of linear-algebra
-dependencies.
+polynomials by the Golub-Welsch method: LAPACK's symmetric eigensolver,
+through numpy, diagonalizes the tridiagonal recurrence matrix.  Rules
+are cached per (size, exponents) and shared read-only.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,109 +59,48 @@ class QuadRule:
         return float(np.dot(self.weights, vals))
 
 
-def _imtqlx(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a symmetric tridiagonal matrix by implicit-shift QL.
-
-    d: diagonal (n,), e: subdiagonal (n-1,), z: vector carried through the
-    rotations (n,).  Returns eigenvalues in ascending order and the
-    correspondingly rotated z (first eigenvector components when z = e1).
-    """
-    n = d.size
-    d = d.astype(float).copy()
-    z = z.astype(float).copy()
-    if n == 1:
-        return d, z
-    e = np.append(e.astype(float), 0.0)
-    eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == l:
-                break
-            if sweeps >= 50:
-                raise RuntimeError("tridiagonal QL iteration failed to converge")
-            sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order]
-
-
 def _jacobi01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1] for the weight x^b (1-x)^a, a, b > -1.
 
-    Standard Golub-Welsch: recurrence coefficients of the Jacobi
-    polynomials fill a symmetric tridiagonal matrix whose eigenvalues are
-    the nodes; weights come from the first eigenvector components scaled
-    by the zeroth moment B(b+1, a+1).
+    Golub-Welsch (Math. Comp. 23, 1969): the recurrence coefficients of
+    the Jacobi polynomials fill a symmetric tridiagonal matrix whose
+    eigenvalues, from LAPACK through ``np.linalg.eigh``, are the nodes on
+    [-1, 1]; the weights are the squared first eigenvector components
+    scaled by the zeroth moment B(b+1, a+1).
     """
     ab = a + b
+    k = np.arange(1.0, n)
     diag = np.empty(n)
-    sub = np.empty(max(n - 1, 0))
     diag[0] = (b - a) / (ab + 2.0)
-    for k in range(1, n):
-        diag[k] = (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+    diag[1:] = (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+    sub = np.empty(n - 1)
     if n > 1:
         sub[0] = math.sqrt(4.0 * (a + 1.0) * (b + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0)))
-    for k in range(2, n):
+        k = np.arange(2.0, n)
         num = 4.0 * k * (k + a) * (k + b) * (k + ab)
         den = (2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)
-        sub[k - 1] = math.sqrt(num / den)
-    z = np.zeros(n)
-    z[0] = 1.0
-    x, z = _imtqlx(diag, sub, z)
+        sub[1:] = np.sqrt(num / den)
+    jac = np.diag(diag) + np.diag(sub, 1) + np.diag(sub, -1)
+    x, vecs = np.linalg.eigh(jac)
     nodes = 0.5 * (1.0 + x)
-    weights = beta(b + 1.0, a + 1.0) * z**2
+    weights = beta(b + 1.0, a + 1.0) * vecs[0] ** 2
     return nodes, weights
 
 
 _rule_cache: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-_cache_lock = threading.Lock()
 
 
 def _cached_jacobi01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Concurrent-read cache; insertion serialized under a single lock."""
+    """``_jacobi01``, built once per (n, a, b); every caller shares the
+    same read-only arrays."""
     key = (n, float(a), float(b))
     hit = _rule_cache.get(key)
-    if hit is not None:
-        return hit
-    nodes, weights = _jacobi01(n, a, b)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    with _cache_lock:
-        return _rule_cache.setdefault(key, (nodes, weights))
+    if hit is None:
+        hit = _jacobi01(n, a, b)
+        for arr in hit:
+            arr.setflags(write=False)
+        _rule_cache[key] = hit
+    return hit
 
 
 def _check_points(n: int) -> int:

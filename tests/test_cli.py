@@ -101,6 +101,33 @@ def test_solve_unknown_problem_key_rejected(tmp_path, capsys):
     assert main(["solve", str(bad), "--out", str(tmp_path / "x")]) == 1
 
 
+def test_solve_infinite_umax_is_bad_input(manufactured_file, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["solve", manufactured_file, "--umax", "inf", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "u_max" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["grid_points", "quad_points", "max_iters"])
+def test_solve_non_integral_size_is_bad_input(key, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**MANUFACTURED, key: 33.7}))
+    out = tmp_path / "x"
+    assert main(["solve", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_integral_float_size_accepted(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**MANUFACTURED, "grid_points": 17.0}))
+    assert main(["solve", str(path), "--out", str(tmp_path / "x")]) == 0
+    _, rows = _read_csv(tmp_path / "x" / "solution.csv")
+    assert len(rows) == 17
+
+
 def test_solve_non_convergence_exit_code(tmp_path):
     code = main(
         ["solve", "--alpha", "3.5", "--sigma", "0.5",

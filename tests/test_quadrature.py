@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +39,7 @@ def test_eighth_order_moment():
     assert val == pytest.approx(1.0 / 5.7, abs=1e-13)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 48, 96])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 48, 96, 128, 256])
 @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 0.9])
 def test_moment_exactness(n, sigma):
     rule = jacobi_rule(n, sigma)
@@ -93,29 +91,12 @@ def test_legendre_rule_polynomial_exactness():
     assert rule.exponent_b == 0.0
 
 
-def test_cache_concurrent_reads():
-    results = []
-    errors = []
-
-    def hit():
-        try:
-            for _ in range(50):
-                nodes, weights = _cached_jacobi01(32, 0.0, -0.37)
-                results.append((id(nodes), float(weights.sum())))
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=hit) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    ids = {r[0] for r in results}
-    assert len(ids) == 1  # one shared immutable rule
-    nodes, _ = _cached_jacobi01(32, 0.0, -0.37)
+def test_cache_shares_read_only_rule():
+    first, _ = _cached_jacobi01(32, 0.0, -0.37)
+    ids = {id(_cached_jacobi01(32, 0.0, -0.37)[0]) for _ in range(50)}
+    assert ids == {id(first)}  # one shared immutable rule
     with pytest.raises(ValueError):
-        nodes[0] = 0.0  # read-only
+        first[0] = 0.0  # read-only
 
 
 def test_integrate_green_zero_forcing():

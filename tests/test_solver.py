@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraksolve.kernel import GreenParams
+from fraksolve import solver as solver_module
+from fraksolve.quadrature import split_panels
 from fraksolve.solver import (
     CertificateError,
     ConeViolationError,
     NonConvergenceError,
     ProblemSpec,
     SolutionGrid,
+    _bary_matrix,
+    _bary_weights,
     apply_green_operator,
     catalog_g,
     certify_contraction,
@@ -54,6 +60,36 @@ def test_interpolation_exact_at_nodes_and_for_low_degree():
 def test_interpolation_never_nan(x):
     grid = SolutionGrid.from_function(lambda t: t * (1 - t), 17)
     assert np.isfinite(grid.interpolate(x))
+
+
+def test_bary_matrix_unit_rows_at_and_next_to_nodes():
+    nodes = chebyshev_lobatto_nodes(33)
+    x = np.concatenate(
+        [nodes, [0.0, 1.0], nodes * (1.0 + 2.0**-52), nodes * (1.0 - 2.0**-52)]
+    )
+    mat = _bary_matrix(nodes, _bary_weights(33), x)
+    unit = np.zeros_like(mat)
+    unit[np.arange(x.size), np.abs(x[:, None] - nodes).argmin(axis=1)] = 1.0
+    assert np.array_equal(mat[:35], unit[:35])  # exact hits, 0 and 1
+    np.testing.assert_allclose(mat, unit, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+
+def test_interpolate_in_blocks_matches_one_matrix(monkeypatch):
+    grid = SolutionGrid.from_function(lambda t: np.sin(3.0 * t), 17)
+    x = np.linspace(0.0, 1.0, 1001).reshape(7, 143)
+    whole = _bary_matrix(grid.nodes, _bary_weights(17), x.ravel()) @ grid.values
+    monkeypatch.setattr(solver_module, "_INTERP_BLOCK", 17 * 50)
+    np.testing.assert_allclose(grid.interpolate(x), whole.reshape(x.shape), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("grid, quad", [(33, 48), (65, 64)])
+def test_bary_matrix_rows_sum_to_one_on_operator_samples(grid, quad):
+    nodes = chebyshev_lobatto_nodes(grid)
+    s_left, _, s_right, _ = split_panels(GreenParams(3.05, 0.95), nodes, quad)
+    for x in (s_left.ravel(), s_right.ravel()):
+        mat = _bary_matrix(nodes, _bary_weights(grid), x)
+        np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_solution_grid_validation():
@@ -231,6 +267,9 @@ def test_problem_spec_validation():
         spec_for("1", quad_points=0)
     with pytest.raises(ValueError):
         spec_for("1", grid_points=2)
+    for bad in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError, match="u_max"):
+            spec_for("1", u_max=bad)
     with pytest.raises(TypeError):
         spec_for(12345)
 
@@ -300,6 +339,42 @@ def test_residual_manufactured_first_order():
     prof2 = grunwald_letnikov_residual(p, u, 5e-4)
     assert prof1.max() <= 5e-2
     assert 0.4 * prof1.max() <= prof2.max() <= 0.6 * prof1.max()
+
+
+def _residual_loop(p, u, h, checkpoints):
+    """Per-checkpoint reference for the residual oracle: coefficients by
+    the recurrence, an exactly rounded GL sum, scalar g.  Also returns
+    each sum's roundoff floor eps * sum|c_j| * h^(-alpha) * max|u|."""
+    a, sg = p.params.alpha, p.params.sigma
+    shift = int(round(a / 2.0))
+    g = p.g_callable()
+    res, floor = [], []
+    for t in checkpoints:
+        terms = int(np.floor(t / h + 1e-9)) + 1 + shift
+        c = np.empty(terms)
+        c[0] = 1.0
+        for k in range(1, terms):
+            c[k] = c[k - 1] * (k - 1.0 - a) / k
+        uvals = u.interpolate(np.clip(t - h * (np.arange(terms) - shift), 0.0, 1.0))
+        gl = h ** (-a) * math.fsum(c * uvals)
+        rhs = t ** (-sg) * float(np.asarray(g(t, u.interpolate(t))))
+        res.append(abs(gl - rhs))
+        floor.append(np.finfo(float).eps * np.abs(c).sum() * h ** (-a) * np.max(np.abs(u.values)))
+    return np.array(res), np.array(floor)
+
+
+@pytest.mark.parametrize("h", [1e-3, 5e-4])
+@pytest.mark.parametrize("g", ["manufactured", "1 + 0.1*ln(1+u)"])
+def test_residual_matches_per_checkpoint_loop(g, h):
+    off_lattice = np.array([0.2 + 1e-7, 0.3141592653589793, 0.5 + h / 3.0, 0.8 - 0.71 * h])
+    for alpha, sigma in ((3.05, 0.05), (3.5, 0.5), (4.0, 0.95)):
+        p = ProblemSpec(GreenParams(alpha, sigma), g, lambda_claim=0.1, tau=1.0,
+                        enforce_cone=g != "manufactured")
+        u = solve(p, uncertified=True).u
+        for checkpoints in (np.linspace(0.2, 0.8, 13), off_lattice):
+            prof = grunwald_letnikov_residual(p, u, h, checkpoints=checkpoints)
+            ref, floor = _residual_loop(p, u, h, checkpoints)
+            assert np.all(np.abs(prof.residuals - ref) <= floor)
 
 
 def test_residual_step_bounds():
