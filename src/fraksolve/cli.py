@@ -31,6 +31,7 @@ from .solver import (
     ProblemSpec,
     certify_contraction,
     check_positivity,
+    check_residual_step,
     grunwald_letnikov_residual,
     solve,
 )
@@ -141,6 +142,7 @@ def _build_spec(args) -> ProblemSpec:
 def cmd_solve(args) -> int:
     try:
         spec = _build_spec(args)
+        check_residual_step(args.h)  # before any artifact is written
     except ParseError as exc:
         print(f"error: invalid expression: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -24,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import exprparse
-from .exprparse import Expression
+from .exprparse import EvalDomainError, Expression
 from .kernel import GreenParams, green_weight_integral_max
 from .quadrature import MAX_POINTS, split_panels
 from .specfun import gamma
@@ -47,6 +47,7 @@ __all__ = [
     "solve",
     "check_positivity",
     "grunwald_letnikov_residual",
+    "check_residual_step",
     "chebyshev_lobatto_nodes",
 ]
 
@@ -140,12 +141,10 @@ class ProblemSpec:
     enforce_cone: bool = True
 
     def __post_init__(self) -> None:
-        if not self.lambda_claim > 0.0:
-            raise ValueError(f"lambda_claim must be > 0, got {self.lambda_claim!r}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau!r}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
+        for name in ("lambda_claim", "tau", "tol"):
+            val = getattr(self, name)
+            if not (val > 0.0 and np.isfinite(val)):
+                raise ValueError(f"{name} must be finite and > 0, got {val!r}")
         if not 1 <= self.quad_points <= MAX_POINTS:
             raise ValueError(f"quad_points must be in [1, {MAX_POINTS}]")
         if not 3 <= self.grid_points <= MAX_GRID:
@@ -340,14 +339,21 @@ class DiscreteGreenOperator:
         return out
 
 
+# Least recently used first.  Two entries hold the fine and start operators
+# of one nested solve; a sweep over fresh (alpha, sigma) never hits, so a
+# larger cache would only retain memory.
 _op_cache: dict[tuple[GreenParams, int, int], DiscreteGreenOperator] = {}
+_OP_CACHE_SIZE = 2
 
 
-def _operator_for(p: ProblemSpec) -> DiscreteGreenOperator:
-    key = (p.params, p.grid_points, p.quad_points)
-    op = _op_cache.get(key)
+def _operator_for(params: GreenParams, grid_points: int, quad_points: int) -> DiscreteGreenOperator:
+    key = (params, grid_points, quad_points)
+    op = _op_cache.pop(key, None)
     if op is None:
-        op = _op_cache[key] = DiscreteGreenOperator(p.params, p.grid_points, p.quad_points)
+        while len(_op_cache) >= _OP_CACHE_SIZE:
+            del _op_cache[next(iter(_op_cache))]
+        op = DiscreteGreenOperator(params, grid_points, quad_points)
+    _op_cache[key] = op
     return op
 
 
@@ -358,7 +364,7 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
     identically there) and is non-negative whenever g is.  With
     ``enforce_cone`` set, a negative g sample raises ConeViolationError.
     """
-    op = _operator_for(p)
+    op = _operator_for(p.params, p.grid_points, p.quad_points)
     if len(u.nodes) != len(op.nodes) or not np.array_equal(u.nodes, op.nodes):
         raise ValueError("grid of u does not match ProblemSpec.grid_points")
     vals = op.apply(u.values, p.g_callable(), p.enforce_cone)
@@ -449,10 +455,61 @@ def certify_contraction(p: ProblemSpec, n_samples: int = 2000, seed: int = 0) ->
 
 @dataclass
 class SolveResult:
+    """``trace`` and ``iterations`` count the sweeps on the requested grid;
+    ``start_iterations`` the start-grid sweeps whose solution they started
+    from (0 when they started from zero or from a given u0)."""
+
     u: SolutionGrid
     trace: np.ndarray
     certificate: ContractionCertificate | None
     iterations: int
+    start_iterations: int = 0
+
+
+# Grids from _NESTED_MIN_GRID points up start from the solution on the start
+# grid.  On smaller grids the start-grid solve, with its operator build,
+# costs more than the fine sweeps it saves.
+_NESTED_MIN_GRID = 129
+_START_GRID, _START_QUAD = 33, 48
+
+
+def _picard(
+    op: DiscreteGreenOperator, g: Callable, u: np.ndarray, p: ProblemSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweeps u <- T u until a delta reaches p.tol or p.max_iters sweeps
+    are spent; returns the last iterate and the deltas."""
+    deltas: list[float] = []
+    for _ in range(p.max_iters):
+        u_next = op.apply(u, g, p.enforce_cone)
+        deltas.append(float(np.max(np.abs(u_next - u))))
+        u = u_next
+        if deltas[-1] <= p.tol:
+            break
+    return u, np.asarray(deltas)
+
+
+def _nested_start(p: ProblemSpec, g: Callable, nodes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Start values at ``nodes`` and the start-grid sweeps they took.
+
+    Picard on the start grid reaches the fixed point of the same T, so its
+    solution, interpolated and (under ``enforce_cone``) put back in the
+    cone, leaves the fine loop only the discretization difference to
+    remove.  If that solve raises or
+    does not reach tol, the start is zero and the fine loop alone decides
+    the outcome.
+    """
+    op = _operator_for(p.params, _START_GRID, min(_START_QUAD, p.quad_points))
+    try:
+        u, deltas = _picard(op, g, np.zeros(_START_GRID), p)
+    except (SolverError, EvalDomainError):
+        return np.zeros(len(nodes)), 0
+    if not deltas[-1] <= p.tol:
+        return np.zeros(len(nodes)), 0
+    start = SolutionGrid(op.nodes, u).interpolate(nodes)
+    if p.enforce_cone:
+        np.maximum(start, 0.0, out=start)
+    start[0] = start[-1] = 0.0
+    return start, len(deltas)
 
 
 def solve(
@@ -465,32 +522,32 @@ def solve(
     """Picard iteration u_{k+1} = T u_k to the fixed point.
 
     Refuses to iterate when the contraction certificate fails, unless
-    ``uncertified`` is set.  Raises NonConvergenceError (carrying the
-    delta trace) if max_iters sweeps do not reach tol.
+    ``uncertified`` is set.  Without ``u0``, grids of 129 points or more
+    start from the interpolated solution on the 33-point grid, smaller
+    ones from zero; the limit is the same unique fixed point either way.  Raises NonConvergenceError
+    (carrying the delta trace) if max_iters sweeps do not reach tol.
     """
     certificate = None
     if not uncertified:
         certificate = certify_contraction(p, n_samples=cert_samples, seed=seed)
         if not certificate.passed:
             raise CertificateError(certificate)
-    op = _operator_for(p)
+    op = _operator_for(p.params, p.grid_points, p.quad_points)
     g = p.g_callable()
-    if u0 is None:
-        u = np.zeros(p.grid_points)
-    else:
+    start_iterations = 0
+    if u0 is not None:
         if len(u0.nodes) != p.grid_points or not np.array_equal(u0.nodes, op.nodes):
             raise ValueError("u0 grid does not match ProblemSpec.grid_points")
         u = u0.values.copy()
-    deltas: list[float] = []
-    for _ in range(p.max_iters):
-        u_next = op.apply(u, g, p.enforce_cone)
-        delta = float(np.max(np.abs(u_next - u)))
-        deltas.append(delta)
-        u = u_next
-        if delta <= p.tol:
-            grid = SolutionGrid(op.nodes, u, np.asarray(deltas))
-            return SolveResult(grid, np.asarray(deltas), certificate, len(deltas))
-    raise NonConvergenceError(np.asarray(deltas), p.tol)
+    elif p.grid_points >= _NESTED_MIN_GRID:
+        u, start_iterations = _nested_start(p, g, op.nodes)
+    else:
+        u = np.zeros(p.grid_points)
+    u, deltas = _picard(op, g, u, p)
+    if not deltas[-1] <= p.tol:
+        raise NonConvergenceError(deltas, p.tol)
+    return SolveResult(SolutionGrid(op.nodes, u, deltas), deltas, certificate, len(deltas),
+                       start_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +618,12 @@ class ResidualProfile:
         return float(np.max(self.residuals))
 
 
+def check_residual_step(h: float) -> None:
+    """Raise ValueError unless h is a step the residual oracle accepts."""
+    if not 1e-4 <= h <= 1e-2:
+        raise ValueError(f"h must lie in [1e-4, 1e-2], got {h!r}")
+
+
 def _gl_coeffs(alpha: float, count: int) -> np.ndarray:
     """(-1)^j binom(alpha, j) for j = 0..count-1, as the running product
     of the ratios (j - 1 - alpha) / j."""
@@ -585,10 +648,10 @@ def grunwald_letnikov_residual(
     independent of the Green-kernel quadrature pipeline.
 
     All checkpoints' stencils are evaluated together: one interpolation
-    of u over every stencil point and checkpoint, one vector call of g.
+    of u over the distinct stencil points and checkpoints, one vector call
+    of g.
     """
-    if not 1e-4 <= h <= 1e-2:
-        raise ValueError("h must lie in [1e-4, 1e-2]")
+    check_residual_step(h)
     a, sg = p.params.alpha, p.params.sigma
     if shift is None:
         shift = int(round(a / 2.0))
@@ -604,7 +667,12 @@ def grunwald_letnikov_residual(
     ends = np.cumsum(terms)
     j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
     stencil = np.repeat(checkpoints, terms) - h * (j - shift)
-    uvals = u.interpolate(np.concatenate([np.clip(stencil, 0.0, 1.0), checkpoints]))
+    # neighbouring checkpoints' stencils share most of their points;
+    # each distinct point is interpolated once
+    points, where = np.unique(
+        np.concatenate([np.clip(stencil, 0.0, 1.0), checkpoints]), return_inverse=True
+    )
+    uvals = u.interpolate(points)[where]
     u_stencil, u_t = uvals[:stencil.size], uvals[stencil.size:]
     # Each stencil's sum cancels from terms of size |u| down to about
     # h^alpha |D^alpha u| within its first few terms.  A running sum in

@@ -109,6 +109,20 @@ def test_solve_infinite_umax_is_bad_input(manufactured_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--tol", "inf", "tol"), ("--tau", "inf", "tau"), ("--lambda", "inf", "lambda_claim"),
+     ("--lambda", "nan", "lambda_claim"), ("--h", "0.5", "h"), ("--h", "nan", "h")],
+)
+def test_solve_bad_value_exits_before_any_artifact(manufactured_file, tmp_path, capsys,
+                                                   flag, value, name):
+    out = tmp_path / "x"
+    assert main(["solve", manufactured_file, flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["grid_points", "quad_points", "max_iters"])
 def test_solve_non_integral_size_is_bad_input(key, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraksolve.exprparse import EvalDomainError
 from fraksolve.kernel import GreenParams
 from fraksolve import solver as solver_module
 from fraksolve.quadrature import split_panels
@@ -256,6 +257,63 @@ def test_non_convergence_carries_trace():
     assert exc.value.trace[0] > 0
 
 
+# --- nested start on large grids --------------------------------------------
+
+
+def nested_spec(g, grid=129, **kw):
+    return ProblemSpec(P35, g, lambda_claim=40.0, tau=1.0, grid_points=grid, quad_points=96, **kw)
+
+
+def test_nested_start_reaches_the_zero_start_fixed_point_in_fewer_sweeps():
+    p = nested_spec("1 + 40*u/(1+sqrt(u))^2")
+    nested = solve(p)
+    direct = solve(p, u0=SolutionGrid.zeros(129))
+    assert nested.start_iterations > 0 and direct.start_iterations == 0
+    assert nested.u.sup_diff(direct.u) <= 1e-8
+    assert nested.iterations <= 3 < direct.iterations
+    assert np.array_equal(nested.u.trace, nested.trace)
+    tr = nested.trace
+    for a_n, a_next in zip(tr, tr[1:]):
+        assert a_next <= a_n / (1.0 + p.tau * np.sqrt(a_n)) ** 2 + 1e-9
+
+
+def test_nested_start_bit_identical_for_u_independent_forcing():
+    p = nested_spec("manufactured", enforce_cone=False)
+    nested = solve(p)
+    assert nested.start_iterations > 0
+    assert np.array_equal(nested.u.values, solve(p, u0=SolutionGrid.zeros(129)).u.values)
+
+
+def test_small_grid_starts_from_zero():
+    p = nested_spec("1 + 40*u/(1+sqrt(u))^2", grid=65)
+    result = solve(p)
+    assert result.start_iterations == 0
+    assert np.array_equal(result.trace, solve(p, u0=SolutionGrid.zeros(65)).trace)
+
+
+def test_nested_start_non_convergence_matches_zero_start():
+    p = nested_spec("1 + 40*u/(1+sqrt(u))^2", max_iters=3)
+    with pytest.raises(NonConvergenceError) as nested:
+        solve(p)
+    with pytest.raises(NonConvergenceError) as direct:
+        solve(p, u0=SolutionGrid.zeros(129))
+    assert np.array_equal(nested.value.trace, direct.value.trace)
+
+
+@pytest.mark.parametrize("g, error", [("sqrt(u-1)", EvalDomainError),
+                                      ("0.1*u - 1", ConeViolationError)])
+def test_nested_start_errors_left_to_fine_loop(g, error):
+    with pytest.raises(error):
+        solve(nested_spec(g), uncertified=True)
+
+
+def test_operator_cache_holds_the_two_most_recent_operators():
+    solve(nested_spec("1"))
+    assert set(solver_module._op_cache) == {(P35, 129, 96), (P35, 33, 48)}
+    solve(spec_for("1", grid_points=17))
+    assert list(solver_module._op_cache) == [(P35, 33, 48), (P35, 17, 48)]
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         spec_for("1", lam=0.0)
@@ -270,6 +328,12 @@ def test_problem_spec_validation():
     for bad in (float("inf"), float("nan"), 0.0):
         with pytest.raises(ValueError, match="u_max"):
             spec_for("1", u_max=bad)
+        with pytest.raises(ValueError, match="tol"):
+            spec_for("1", tol=bad)
+        with pytest.raises(ValueError, match="tau"):
+            spec_for("1", tau=bad)
+        with pytest.raises(ValueError, match="lambda_claim"):
+            spec_for("1", lam=bad)
     with pytest.raises(TypeError):
         spec_for(12345)
 
