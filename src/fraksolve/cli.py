@@ -1,7 +1,8 @@
 """Command-line surface: solve problems, dump kernel data, run the
 verification suite.
 
-Exit codes: 0 success, 1 malformed input, 2 certificate failure without
+Exit codes: 0 success, 1 malformed input (a g that leaves its domain or
+evaluates negative included), 2 certificate failure without
 --uncertified, 3 non-convergence, 4 verification-suite failure.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exprparse import ParseError, parse
+from .exprparse import EvalDomainError, ParseError, parse
 from .fcontraction import CATALOG_IDS, control_catalog, verify_control_class, verify_wardowski
 from .kernel import (
     GreenParams,
@@ -24,9 +25,10 @@ from .kernel import (
     green_weight_integral_max,
     origin_continuity_bound,
 )
-from .quadrature import integrate_green, jacobi_rule
+from .quadrature import integrate_green, jacobi_rule, panel_sums, split_panels
 from .solver import (
     G_CATALOG_IDS,
+    ConeViolationError,
     NonConvergenceError,
     ProblemSpec,
     certify_contraction,
@@ -122,12 +124,12 @@ def _build_spec(args) -> ProblemSpec:
     missing = [k for k in ("alpha", "sigma", "g", "lambda", "tau") if k not in data]
     if missing:
         raise ValueError(f"missing problem fields: {missing} (supply a file or flags)")
-    g_text = data["g"]
-    if isinstance(g_text, str) and g_text not in G_CATALOG_IDS:
-        parse(g_text)  # surface syntax errors with their offset before any work
+    g = data["g"]
+    if isinstance(g, str) and g not in G_CATALOG_IDS:
+        g = parse(g)  # syntax errors surface with their offset before any work
     return ProblemSpec(
         params=GreenParams(float(data["alpha"]), float(data["sigma"])),
-        g=g_text,
+        g=g,
         lambda_claim=float(data["lambda"]),
         tau=float(data["tau"]),
         quad_points=_int_field(data, "quad_points", 48),
@@ -152,7 +154,15 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    try:
+        return _solve_and_write(spec, args)
+    except (EvalDomainError, ConeViolationError) as exc:
+        # g left its domain or the cone at a sampled point
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
+
+def _solve_and_write(spec: ProblemSpec, args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     certificate = certify_contraction(spec, seed=args.seed)
@@ -287,21 +297,23 @@ def _combo_checks(alpha: float, sigma: float, n: int = 48) -> list[_Check]:
     tag = f"alpha_{alpha:g}_sigma_{sigma:g}"
     one = lambda s: np.ones_like(np.asarray(s, dtype=float))
     ts = np.linspace(0.0, 1.0, 34)[1:-1]  # 32 interior points
-    consist = np.max(np.abs(integrate_green(params, ts, one, n) - green_weight_integral(params, ts)))
+    panels = split_panels(params, ts, n)
+    consist = np.max(np.abs(panel_sums(panels, one) - green_weight_integral(params, ts)))
     checks = [_Check(f"weight_integral_consistency_{tag}", consist, 1e-8)]
     ends = max(abs(green_weight_integral(params, 0.0)), abs(green_weight_integral(params, 1.0)))
     checks.append(_Check(f"weight_integral_boundary_{tag}", ends, 1e-12))
     fcos = lambda s: np.cos(np.asarray(s, dtype=float))
     split = np.max(
-        np.abs(integrate_green(params, ts, fcos, n) - integrate_green(params, ts, fcos, 2 * n))
+        np.abs(panel_sums(panels, fcos) - panel_sums(split_panels(params, ts, 2 * n), fcos))
     )
     checks.append(_Check(f"split_consistency_{tag}", split, 1e-9))
     # |H(t) - H(0)| dominated by the closed bound, for sampled bounded forcings
     worst = -math.inf
     tb = ts[::4]
+    panels_b = tuple(a[::4] for a in panels)  # the rows of tb
     for f_reg in (one, fcos, lambda s: 0.25 + np.asarray(s)):
         m_bound = float(np.max(np.abs(f_reg(np.linspace(0.0, 1.0, 2001)))))
-        h_t = np.abs(integrate_green(params, tb, f_reg, n))
+        h_t = np.abs(panel_sums(panels_b, f_reg))
         bound = [origin_continuity_bound(params, float(t), m_bound) for t in tb]
         worst = max(worst, float(np.max(h_t - bound)))
     checks.append(_Check(f"origin_bound_domination_{tag}", worst, 1e-12))

@@ -29,6 +29,7 @@ __all__ = [
     "legendre_rule",
     "integrate_green",
     "split_panels",
+    "panel_sums",
     "MAX_POINTS",
     "RuleConfigError",
 ]
@@ -168,6 +169,12 @@ def integrate_green(params: GreenParams, t, f_reg, n: int):
     solver's collocation operator applies.  A scalar t gives a float, a
     1-d array of t an array.
     """
-    s_left, coef_left, s_right, coef_right = split_panels(params, np.atleast_1d(t), n)
-    out = (coef_left * f_reg(s_left)).sum(axis=1) + (coef_right * f_reg(s_right)).sum(axis=1)
+    out = panel_sums(split_panels(params, np.atleast_1d(t), n), f_reg)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def panel_sums(panels, f_reg) -> np.ndarray:
+    """Per-t integrals of f_reg from ``split_panels`` output (or a row
+    slice of it)."""
+    s_left, coef_left, s_right, coef_right = panels
+    return (coef_left * f_reg(s_left)).sum(axis=1) + (coef_right * f_reg(s_right)).sum(axis=1)

@@ -139,6 +139,7 @@ class ProblemSpec:
     max_iters: int = 200
     u_max: float = 10.0
     enforce_cone: bool = True
+    _g_resolved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("lambda_claim", "tau", "tol"):
@@ -163,7 +164,12 @@ class ProblemSpec:
             )
 
     def g_callable(self) -> Callable:
-        return _resolve_g(self.g, self.params)
+        """g as an array callable.  Resolved, and expression text parsed,
+        on first use; reused until ``g`` or ``params`` is replaced."""
+        hit = self._g_resolved
+        if hit is None or hit[0] is not self.g or hit[1] is not self.params:
+            hit = self._g_resolved = (self.g, self.params, _resolve_g(self.g, self.params))
+        return hit[2]
 
 
 def _resolve_g(g: GFunction, params: GreenParams) -> Callable:
@@ -303,18 +309,26 @@ class DiscreteGreenOperator:
     built once.  ``apply`` is then a handful of vectorized operations;
     per-node sums use a fixed order, so results do not depend on
     scheduling.
+
+    With ``out_nodes`` the operator takes values on the ``grid_points``
+    grid and returns T u at ``out_nodes`` instead (a Nystrom
+    interpolation step); ``nodes`` stays the input grid.
     """
 
-    def __init__(self, params: GreenParams, grid_points: int, quad_points: int):
+    def __init__(self, params: GreenParams, grid_points: int, quad_points: int,
+                 out_nodes: np.ndarray | None = None):
         self.params = params
         tt = chebyshev_lobatto_nodes(grid_points)
         self.nodes = tt
         self.s_left, self.coef_left, self.s_right, self.coef_right = split_panels(
-            params, tt, quad_points
+            params, tt if out_nodes is None else out_nodes, quad_points
         )
         w = _bary_weights(grid_points)
         self._interp_left = _bary_matrix(tt, w, self.s_left.ravel())
         self._interp_right = _bary_matrix(tt, w, self.s_right.ravel())
+        # start-grid values -> T u at these nodes; built by the first
+        # nested start that needs it, and dropped with this operator
+        self.start_transfer: DiscreteGreenOperator | None = None
 
     def apply(self, values: np.ndarray, g: Callable, enforce_cone: bool) -> np.ndarray:
         m, n = self.s_left.shape
@@ -488,28 +502,31 @@ def _picard(
     return u, np.asarray(deltas)
 
 
-def _nested_start(p: ProblemSpec, g: Callable, nodes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Start values at ``nodes`` and the start-grid sweeps they took.
+def _nested_start(p: ProblemSpec, g: Callable, fine: DiscreteGreenOperator) -> tuple[np.ndarray, int]:
+    """Start values at the nodes of ``fine`` and the start-grid sweeps
+    they took.
 
-    Picard on the start grid reaches the fixed point of the same T, so its
-    solution, interpolated and (under ``enforce_cone``) put back in the
-    cone, leaves the fine loop only the discretization difference to
-    remove.  If that solve raises or
-    does not reach tol, the start is zero and the fine loop alone decides
-    the outcome.
+    Picard on the start grid reaches the fixed point of the same T.  Its
+    solution is carried to the fine nodes by one Nystrom step, T applied
+    with the start grid's own rule at the fine nodes (Atkinson 1997,
+    section 4.1): the kernel smooths away the error of interpolating
+    between the start nodes, so the fine loop starts close to its fixed
+    point.  If the start solve or that step raises, or the solve does not
+    reach tol, the start is zero and the fine loop alone decides the
+    outcome.
     """
-    op = _operator_for(p.params, _START_GRID, min(_START_QUAD, p.quad_points))
+    quad = min(_START_QUAD, p.quad_points)
+    op = _operator_for(p.params, _START_GRID, quad)
+    zero = np.zeros(len(fine.nodes)), 0
     try:
         u, deltas = _picard(op, g, np.zeros(_START_GRID), p)
+        if not deltas[-1] <= p.tol:
+            return zero
+        if fine.start_transfer is None:
+            fine.start_transfer = DiscreteGreenOperator(p.params, _START_GRID, quad, fine.nodes)
+        return fine.start_transfer.apply(u, g, p.enforce_cone), len(deltas)
     except (SolverError, EvalDomainError):
-        return np.zeros(len(nodes)), 0
-    if not deltas[-1] <= p.tol:
-        return np.zeros(len(nodes)), 0
-    start = SolutionGrid(op.nodes, u).interpolate(nodes)
-    if p.enforce_cone:
-        np.maximum(start, 0.0, out=start)
-    start[0] = start[-1] = 0.0
-    return start, len(deltas)
+        return zero
 
 
 def solve(
@@ -523,8 +540,9 @@ def solve(
 
     Refuses to iterate when the contraction certificate fails, unless
     ``uncertified`` is set.  Without ``u0``, grids of 129 points or more
-    start from the interpolated solution on the 33-point grid, smaller
-    ones from zero; the limit is the same unique fixed point either way.  Raises NonConvergenceError
+    start from the solution on the 33-point grid, carried to the fine
+    nodes by one Nystrom step, smaller ones from zero; the limit is the
+    same unique fixed point either way.  Raises NonConvergenceError
     (carrying the delta trace) if max_iters sweeps do not reach tol.
     """
     certificate = None
@@ -540,7 +558,7 @@ def solve(
             raise ValueError("u0 grid does not match ProblemSpec.grid_points")
         u = u0.values.copy()
     elif p.grid_points >= _NESTED_MIN_GRID:
-        u, start_iterations = _nested_start(p, g, op.nodes)
+        u, start_iterations = _nested_start(p, g, op)
     else:
         u = np.zeros(p.grid_points)
     u, deltas = _picard(op, g, u, p)

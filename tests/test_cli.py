@@ -142,6 +142,40 @@ def test_solve_integral_float_size_accepted(tmp_path):
     assert len(rows) == 17
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--g", "exp(u)", "--umax", "1000", "--lambda", "1"],
+     ["--g", "sqrt(u-1)", "--lambda", "1"],
+     ["--g", "0.1*u-1", "--lambda", "2"]],
+)
+def test_solve_g_outside_domain_or_cone_is_bad_input(flags, tmp_path, capsys):
+    code = main(["solve", "--alpha", "3.5", "--sigma", "0.5", "--tau", "1", *flags,
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_solve_parses_expression_once(monkeypatch, tmp_path):
+    import fraksolve.cli as cli_module
+    from fraksolve import exprparse
+
+    calls = []
+    real_parse = exprparse.parse
+
+    def counting(text):
+        calls.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(exprparse, "parse", counting)
+    monkeypatch.setattr(cli_module, "parse", counting)
+    code = main(["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1 + 0.1*ln(1+u)",
+                 "--lambda", "0.5", "--tau", "1", "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert calls == ["1 + 0.1*ln(1+u)"]
+
+
 def test_solve_non_convergence_exit_code(tmp_path):
     code = main(
         ["solve", "--alpha", "3.5", "--sigma", "0.5",

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraksolve import exprparse
 from fraksolve.exprparse import EvalDomainError
 from fraksolve.kernel import GreenParams
 from fraksolve import solver as solver_module
@@ -307,9 +309,77 @@ def test_nested_start_errors_left_to_fine_loop(g, error):
         solve(nested_spec(g), uncertified=True)
 
 
+@pytest.mark.parametrize("c", [0.5, 20.0, 40.0])
+def test_nystrom_start_needs_one_fine_sweep(c):
+    p = ProblemSpec(P35, f"1 + {c!r}*u/(1+sqrt(u))^2", lambda_claim=c, tau=1.0,
+                    grid_points=257, quad_points=128)
+    nested = solve(p)
+    assert nested.iterations == 1
+    assert nested.u.sup_diff(solve(p, u0=SolutionGrid.zeros(257)).u) <= 1e-10
+
+
+def interpolated_start(p):
+    """The start grids of 129 points used before the Nystrom step: the
+    33-point solution interpolated onto the fine nodes, negative values
+    and both endpoints set to 0."""
+    coarse = solve(replace(p, grid_points=33, quad_points=min(48, p.quad_points)),
+                   uncertified=True)
+    nodes = chebyshev_lobatto_nodes(p.grid_points)
+    vals = np.maximum(coarse.u.interpolate(nodes), 0.0)
+    vals[0] = vals[-1] = 0.0
+    return SolutionGrid(nodes, vals)
+
+
+@pytest.mark.parametrize("alpha", [3.01, 3.5, 4.0])
+@pytest.mark.parametrize("sigma", [0.1, 0.9])
+def test_nystrom_start_takes_no_more_fine_sweeps_than_interpolated_start(alpha, sigma):
+    p = ProblemSpec(GreenParams(alpha, sigma), "1 + 10*u/(1+sqrt(u))^2", lambda_claim=10.0,
+                    tau=1.0, grid_points=129, quad_points=96)
+    nested = solve(p, uncertified=True)
+    assert nested.start_iterations > 0
+    assert nested.iterations <= solve(p, u0=interpolated_start(p), uncertified=True).iterations
+
+
+@pytest.mark.parametrize("error", [ConeViolationError, EvalDomainError])
+def test_nystrom_transfer_error_falls_back_to_zero_start(monkeypatch, error):
+    class FailingTransfer:
+        def apply(self, values, g, enforce_cone):
+            raise error("injected")
+
+    p = nested_spec("1 + 40*u/(1+sqrt(u))^2")
+    fine = solver_module._operator_for(P35, 129, 96)
+    monkeypatch.setattr(fine, "start_transfer", FailingTransfer())
+    result = solve(p)
+    assert result.start_iterations == 0
+    assert np.array_equal(result.trace, solve(p, u0=SolutionGrid.zeros(129)).trace)
+
+
+def test_expression_parsed_once_per_spec(monkeypatch):
+    calls = []
+    real_parse = exprparse.parse
+    monkeypatch.setattr(exprparse, "parse", lambda text: calls.append(text) or real_parse(text))
+    p = spec_for("1 + 0.1*u/(1+sqrt(u))^2")
+    result = solve(p)
+    check_positivity(p, result.u)
+    grunwald_letnikov_residual(p, result.u, 1e-3)
+    assert len(calls) == 1
+    p.g = "2 + u"  # a replaced g is resolved afresh
+    assert p.g_callable()(0.5, 1.0) == 3.0 and len(calls) == 2
+
+
+def test_expression_syntax_error_surfaces_at_first_use():
+    p = spec_for("1 +")
+    with pytest.raises(exprparse.ParseError):
+        solve(p)
+
+
 def test_operator_cache_holds_the_two_most_recent_operators():
     solve(nested_spec("1"))
-    assert set(solver_module._op_cache) == {(P35, 129, 96), (P35, 33, 48)}
+    assert list(solver_module._op_cache) == [(P35, 129, 96), (P35, 33, 48)]
+    # the Nystrom transfer lives on the fine operator, not in the cache
+    transfer = solver_module._op_cache[(P35, 129, 96)].start_transfer
+    assert transfer._interp_left.shape == (129 * 48, 33)
+    assert transfer.s_left.shape == (129, 48) and len(transfer.nodes) == 33
     solve(spec_for("1", grid_points=17))
     assert list(solver_module._op_cache) == [(P35, 33, 48), (P35, 17, 48)]
 
