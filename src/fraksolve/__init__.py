@@ -3,7 +3,7 @@ boundary value problem D^alpha u = f(t, u) on (0, 1), alpha in (3, 4],
 with u(0) = u(1) = u'(0) = u'(1) = 0 and f singular at t = 0.
 """
 
-from .exprparse import EvalDomainError, Expression, ParseError, evaluate, parse, to_text
+from .exprparse import EvalDomainError, Expression, ParseError, evaluate, parse
 from .fcontraction import (
     CATALOG_IDS,
     ControlFunction,
@@ -38,6 +38,6 @@ from .solver import (
     grunwald_letnikov_residual,
     solve,
 )
-from .specfun import beta, betaln, gamma, gammaln
+from .specfun import beta, gamma
 
 __version__ = "0.1.0"

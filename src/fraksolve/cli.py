@@ -83,7 +83,10 @@ def _write_json(path: Path, obj) -> None:
 
 def _load_problem_file(path: str) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # nesting deeper than the interpreter's stack
+            raise ValueError("malformed JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("problem file must contain a JSON object")
     unknown = set(data) - _PROBLEM_KEYS
@@ -92,12 +95,23 @@ def _load_problem_file(path: str) -> dict:
     return data
 
 
+def _float_field(data: dict, key: str, default: float | None = None) -> float:
+    """A numeric problem field: a JSON number, not a bool or a string."""
+    val = data.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValueError(f"{key} must be a number, got {type(val).__name__}")
+    try:
+        return float(val)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{key} is out of range") from None
+
+
 def _int_field(data: dict, key: str, default: int) -> int:
     """An integer problem field; 33.0 is accepted, 33.7 is an error."""
-    val = data.get(key, default)
-    if not float(val).is_integer():
+    val = _float_field(data, key, default)
+    if not val.is_integer():
         raise ValueError(f"{key} must be an integer, got {val!r}")
-    return int(float(val))
+    return int(val)
 
 
 def _build_spec(args) -> ProblemSpec:
@@ -127,17 +141,20 @@ def _build_spec(args) -> ProblemSpec:
     g = data["g"]
     if isinstance(g, str) and g not in G_CATALOG_IDS:
         g = parse(g)  # syntax errors surface with their offset before any work
+    enforce_cone = data.get("enforce_cone", True)
+    if not isinstance(enforce_cone, bool):
+        raise ValueError(f"enforce_cone must be true or false, got {type(enforce_cone).__name__}")
     return ProblemSpec(
-        params=GreenParams(float(data["alpha"]), float(data["sigma"])),
+        params=GreenParams(_float_field(data, "alpha"), _float_field(data, "sigma")),
         g=g,
-        lambda_claim=float(data["lambda"]),
-        tau=float(data["tau"]),
+        lambda_claim=_float_field(data, "lambda"),
+        tau=_float_field(data, "tau"),
         quad_points=_int_field(data, "quad_points", 48),
         grid_points=_int_field(data, "grid_points", 33),
-        tol=float(data.get("tol", 1e-10)),
+        tol=_float_field(data, "tol", 1e-10),
         max_iters=_int_field(data, "max_iters", 200),
-        u_max=float(data.get("u_max", 10.0)),
-        enforce_cone=bool(data.get("enforce_cone", True)),
+        u_max=_float_field(data, "u_max", 10.0),
+        enforce_cone=enforce_cone,
     )
 
 
@@ -163,11 +180,13 @@ def cmd_solve(args) -> int:
 
 
 def _solve_and_write(spec: ProblemSpec, args) -> int:
+    """Everything that can fail on a bad g runs before the first write, so
+    an exit 1 leaves no output behind."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     certificate = certify_contraction(spec, seed=args.seed)
-    _write_json(out / "certificate.json", certificate.to_dict())
     if not certificate.passed and not args.uncertified:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "certificate.json", certificate.to_dict())
         print(
             f"certificate failed (lambda_observed={certificate.lambda_observed:.6g}, "
             f"lambda_claim*N={certificate.lambda_claim * certificate.N:.6g}); "
@@ -179,18 +198,20 @@ def _solve_and_write(spec: ProblemSpec, args) -> int:
     try:
         result = solve(spec, uncertified=True)
     except NonConvergenceError as exc:
-        _write_csv(
-            out / "trace.csv", "iter,delta", [(i + 1, d) for i, d in enumerate(exc.trace)]
-        )
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "certificate.json", certificate.to_dict())
+        _write_csv(out / "trace.csv", "iter,delta", [(i + 1, d) for i, d in enumerate(exc.trace)])
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
     u = result.u
+    report = check_positivity(spec, u, seed=args.seed)
+    profile = grunwald_letnikov_residual(spec, u, args.h)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "certificate.json", certificate.to_dict())
     _write_csv(out / "solution.csv", "t,u", zip(u.nodes, u.values))
     _write_csv(out / "trace.csv", "iter,delta", [(i + 1, d) for i, d in enumerate(result.trace)])
-    report = check_positivity(spec, u, seed=args.seed)
     _write_json(out / "positivity.json", report.to_dict())
-    profile = grunwald_letnikov_residual(spec, u, args.h)
     _write_csv(out / "residual.csv", "t,residual", zip(profile.checkpoints, profile.residuals))
     if args.format == "json":
         _write_json(out / "solution.json", {"t": list(u.nodes), "u": list(u.values)})
@@ -292,28 +313,32 @@ def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[_Check]:
     return checks
 
 
-def _combo_checks(alpha: float, sigma: float, n: int = 48) -> list[_Check]:
+# points per panel of the split rule the combination checks run
+_COMBO_QUAD = 48
+
+
+def _combo_checks(alpha: float, sigma: float) -> list[_Check]:
     params = GreenParams(alpha, sigma)
     tag = f"alpha_{alpha:g}_sigma_{sigma:g}"
     one = lambda s: np.ones_like(np.asarray(s, dtype=float))
     ts = np.linspace(0.0, 1.0, 34)[1:-1]  # 32 interior points
-    panels = split_panels(params, ts, n)
-    consist = np.max(np.abs(panel_sums(panels, one) - green_weight_integral(params, ts)))
+    rule = split_panels(params, ts, _COMBO_QUAD)
+    consist = np.max(np.abs(panel_sums(rule, one) - green_weight_integral(params, ts)))
     checks = [_Check(f"weight_integral_consistency_{tag}", consist, 1e-8)]
     ends = max(abs(green_weight_integral(params, 0.0)), abs(green_weight_integral(params, 1.0)))
     checks.append(_Check(f"weight_integral_boundary_{tag}", ends, 1e-12))
     fcos = lambda s: np.cos(np.asarray(s, dtype=float))
     split = np.max(
-        np.abs(panel_sums(panels, fcos) - panel_sums(split_panels(params, ts, 2 * n), fcos))
+        np.abs(panel_sums(rule, fcos) - panel_sums(split_panels(params, ts, 2 * _COMBO_QUAD), fcos))
     )
     checks.append(_Check(f"split_consistency_{tag}", split, 1e-9))
     # |H(t) - H(0)| dominated by the closed bound, for sampled bounded forcings
     worst = -math.inf
     tb = ts[::4]
-    panels_b = tuple(a[::4] for a in panels)  # the rows of tb
+    rule_b = tuple(a[::4] for a in rule)  # the rows of tb
     for f_reg in (one, fcos, lambda s: 0.25 + np.asarray(s)):
         m_bound = float(np.max(np.abs(f_reg(np.linspace(0.0, 1.0, 2001)))))
-        h_t = np.abs(panel_sums(panels_b, f_reg))
+        h_t = np.abs(panel_sums(rule_b, f_reg))
         bound = [origin_continuity_bound(params, float(t), m_bound) for t in tb]
         worst = max(worst, float(np.max(h_t - bound)))
     checks.append(_Check(f"origin_bound_domination_{tag}", worst, 1e-12))

@@ -1,8 +1,7 @@
 """Arithmetic expressions in the variables t and u.
 
-Recursive-descent parser with reported error offsets, a numpy-aware
-evaluator that refuses to produce non-finite values silently, and a
-printer whose output re-parses to an evaluation-equivalent tree.
+Recursive-descent parser with reported error offsets, and a numpy-aware
+evaluator that refuses to produce non-finite values silently.
 
 Grammar (whitespace-insensitive)::
 
@@ -35,7 +34,6 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "evaluate",
-    "to_text",
 ]
 
 MAX_SOURCE_BYTES = 64 * 1024
@@ -212,7 +210,10 @@ def parse(text: str) -> Expression:
     if len(text.encode()) > MAX_SOURCE_BYTES:
         raise ParseError(f"expression longer than {MAX_SOURCE_BYTES} bytes", MAX_SOURCE_BYTES)
     p = _Parser(_tokenize(text))
-    node = p.parse_expr()
+    try:
+        node = p.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected {val!r}", pos)
@@ -318,38 +319,3 @@ def evaluate(expr: Expression, t, u):
     if np.ndim(t) == 0 and np.ndim(u) == 0:
         return float(out)
     return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(np.shape(t), np.shape(u))).copy() if np.ndim(out) == 0 else np.asarray(out, dtype=float)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _print(node: Expression, parent_prec: int, right_of_pow: bool = False) -> str:
-    if isinstance(node, Num):
-        s = np.format_float_positional(node.value, trim="-") if abs(node.value) < 1e16 else repr(node.value)
-        return s
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _print(node.operand, _PREC["neg"])
-        s = f"-{inner}"
-        return f"({s})" if parent_prec > _PREC["neg"] else s
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        if node.op == "^":
-            # right-assoc; the right child re-enters at factor level
-            left = _print(node.left, prec + 1)
-            right = _print(node.right, _PREC["neg"])
-            s = f"{left}^{right}"
-        else:
-            left = _print(node.left, prec)
-            right = _print(node.right, prec + 1)
-            s = f"{left} {node.op} {right}"
-        return f"({s})" if parent_prec > prec else s
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_print(a, 0) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def to_text(expr: Expression) -> str:
-    """Render to text that re-parses to an evaluation-equivalent tree."""
-    return _print(expr, 0)

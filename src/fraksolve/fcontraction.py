@@ -85,7 +85,7 @@ class ControlClassReport:
     """Per-condition verdicts of the membership checks.
 
     ``divergence_depth`` is the first dyadic level 2^-n at which phi
-    dropped below -divergence_bound, or None if never within the checked
+    dropped below -_DIVERGENCE_BOUND, or None if never within the checked
     depth (divergence is then judged by the non-vanishing decrement
     alone).  The reverse implication of condition (b) -- phi(t_n) -> -inf
     forces t_n -> 0 -- holds for any strictly increasing function, so it
@@ -104,59 +104,41 @@ class ControlClassReport:
     def passed(self) -> bool:
         return self.strictly_increasing and self.diverges_at_zero and self.power_limit_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "k_witness": self.k_witness,
-            "strictly_increasing": self.strictly_increasing,
-            "diverges_at_zero": self.diverges_at_zero,
-            "divergence_depth": self.divergence_depth,
-            "power_limit_ok": self.power_limit_ok,
-            "power_limit_value": self.power_limit_value,
-            "passed": self.passed,
-        }
+
+_CLASS_SAMPLES, _DEPTH, _POWER_DEPTH = 2048, 60, 40
+_DIVERGENCE_BOUND, _MIN_DECREMENT, _POWER_EPS = 1e3, 0.05, 1e-3
 
 
-def verify_control_class(
-    phi: ControlFunction,
-    n_samples: int = 2048,
-    seed: int = 0,
-    depth: int = 60,
-    divergence_bound: float = 1e3,
-    min_decrement: float = 0.05,
-    power_depth: int = 40,
-    power_eps: float = 1e-3,
-) -> ControlClassReport:
+def verify_control_class(phi: ControlFunction) -> ControlClassReport:
     """Falsification checks of the three membership conditions.
 
-    (a) strict monotonicity on sorted random samples in (0, 100];
-    (b) along t_n = 2^-n, n <= depth, the values must keep falling by at
-        least ``min_decrement`` per step (a bounded-below sequence fails
-        this; actual crossing of -divergence_bound is recorded when it
+    (a) strict monotonicity on _CLASS_SAMPLES sorted random samples in
+        (0, 100];
+    (b) along t_n = 2^-n, n <= _DEPTH, the values must keep falling by
+        at least _MIN_DECREMENT per step (a bounded-below sequence fails
+        this; actual crossing of -_DIVERGENCE_BOUND is recorded when it
         happens -- slow diverging members such as ln reach large bounds
         only at depths far beyond any fixed cutoff);
-    (c) |t^k phi(t)| <= power_eps at t = 2^-power_depth.
+    (c) |t^k phi(t)| <= _POWER_EPS at t = 2^-_POWER_DEPTH.
     """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # log-uniform samples cover the near-zero region where monotonicity
     # failures would hide
-    ts = np.sort(np.exp(rng.uniform(np.log(1e-12), np.log(100.0), size=n_samples)))
+    ts = np.sort(np.exp(rng.uniform(np.log(1e-12), np.log(100.0), size=_CLASS_SAMPLES)))
     ts = np.unique(ts)
     vals = np.asarray(phi(ts), dtype=float)
     increasing = bool(np.all(np.diff(vals) > 0.0))
 
-    ns = np.arange(1, depth + 1)
+    ns = np.arange(1, _DEPTH + 1)
     dyadic = np.asarray(phi(2.0 ** (-ns.astype(float))), dtype=float)
     decrements = np.diff(dyadic)
-    diverges = bool(np.all(decrements <= -min_decrement))
-    below = np.nonzero(dyadic < -divergence_bound)[0]
+    diverges = bool(np.all(decrements <= -_MIN_DECREMENT))
+    below = np.nonzero(dyadic < -_DIVERGENCE_BOUND)[0]
     depth_hit = int(ns[below[0]]) if below.size else None
 
-    t_small = 2.0 ** (-float(power_depth))
+    t_small = 2.0 ** (-float(_POWER_DEPTH))
     power_val = float(abs(t_small**phi.k_witness * float(np.asarray(phi(t_small)))))
-    power_ok = power_val <= power_eps
+    power_ok = power_val <= _POWER_EPS
 
     return ControlClassReport(
         id=phi.id,
@@ -200,20 +182,11 @@ class WardowskiReport:
     def vacuous(self) -> bool:
         return self.checked == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "control_id": self.control_id,
-            "checked": self.checked,
-            "violations": len(self.violations),
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-        }
+
+_MAX_PAIRS, _MAX_TRIPLES = 512, 256
 
 
-def _validate_metric(
-    points: Sequence, metric: Callable, max_pairs: int = 512, max_triples: int = 256
-) -> None:
+def _validate_metric(points: Sequence, metric: Callable) -> None:
     """Falsification check of the metric axioms; exhaustive on small sets,
     seeded samples above the caps."""
     n = len(points)
@@ -223,8 +196,8 @@ def _validate_metric(
     rng = np.random.default_rng(0)
     pairs = (
         [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if n * (n - 1) // 2 <= max_pairs
-        else [tuple(sorted(rng.choice(n, size=2, replace=False))) for _ in range(max_pairs)]
+        if n * (n - 1) // 2 <= _MAX_PAIRS
+        else [tuple(sorted(rng.choice(n, size=2, replace=False))) for _ in range(_MAX_PAIRS)]
     )
     for i, j in pairs:
         dij = metric(points[i], points[j])
@@ -235,8 +208,8 @@ def _validate_metric(
             raise MetricError(f"asymmetric distance at pair ({i}, {j})")
     triples = (
         [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        if n**3 <= max_triples
-        else [tuple(rng.integers(0, n, size=3)) for _ in range(max_triples)]
+        if n**3 <= _MAX_TRIPLES
+        else [tuple(rng.integers(0, n, size=3)) for _ in range(_MAX_TRIPLES)]
     )
     for i, j, k in triples:
         dij = metric(points[i], points[j])

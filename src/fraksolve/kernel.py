@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# uniform scan intervals, and the bracket width that ends the refinement,
+# of green_weight_integral_max
+_COARSE, _WIDTH_TOL = 1024, 1e-10
 
 
 @dataclass(frozen=True)
@@ -135,26 +138,24 @@ def green_weight_integral(params: GreenParams, t):
     return out
 
 
-def green_weight_integral_max(
-    params: GreenParams, coarse: int = 1024, width_tol: float = 1e-10
-) -> tuple[float, float]:
+def green_weight_integral_max(params: GreenParams) -> tuple[float, float]:
     """Maximum of the weighted kernel integral over t in [0, 1].
 
     Returns (value, argmax).  Coarse scan on a uniform grid, then
     golden-section refinement of the bracketing interval down to
-    ``width_tol``.  Bracketed search; no derivative model is assumed.
+    ``_WIDTH_TOL``.  Bracketed search; no derivative model is assumed.
     """
-    ts = np.linspace(0.0, 1.0, coarse + 1)
+    ts = np.linspace(0.0, 1.0, _COARSE + 1)
     vals = green_weight_integral(params, ts)
     k = int(np.argmax(vals))
     lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, coarse)]
+    hi = ts[min(k + 1, _COARSE)]
 
     f = lambda x: green_weight_integral(params, x)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > width_tol:
+    while hi - lo > _WIDTH_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)

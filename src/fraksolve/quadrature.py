@@ -16,7 +16,7 @@ are cached per (size, exponents) and shared read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +41,13 @@ class RuleConfigError(ValueError):
     """Requested quadrature rule is outside the supported configuration."""
 
 
-@dataclass(frozen=True, eq=False)
-class QuadRule:
-    """Gauss rule for the weight s^exponent_b on ``interval``.
-
-    ``nodes`` are strictly increasing and strictly inside the interval;
-    ``weights`` are positive and absorb the weight function, so
-    sum(w_i f(x_i)) approximates integral of s^exponent_b f(s) ds.
-    """
+class QuadRule(NamedTuple):
+    """Gauss rule on [0, 1] whose positive ``weights`` absorb the weight
+    function: sum(w_i f(x_i)) approximates its weighted integral of f.
+    ``nodes`` are strictly increasing and strictly inside (0, 1)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    exponent_b: float
-    interval: tuple[float, float] = (0.0, 1.0)
-
-    def integrate(self, f) -> float:
-        vals = np.broadcast_to(np.asarray(f(self.nodes), dtype=float), self.nodes.shape)
-        return float(np.dot(self.weights, vals))
 
 
 def _jacobi01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,33 +109,28 @@ def jacobi_rule(n: int, sigma: float) -> QuadRule:
     n = _check_points(n)
     if not 0.0 < sigma < 1.0:
         raise RuleConfigError(f"sigma must be in (0, 1), got {sigma!r}")
-    nodes, weights = _cached_jacobi01(n, 0.0, -sigma)
-    return QuadRule(nodes=nodes, weights=weights, exponent_b=-sigma)
+    return QuadRule(*_cached_jacobi01(n, 0.0, -sigma))
 
 
 def legendre_rule(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule on [0, 1] (unit weight)."""
     n = _check_points(n)
-    nodes, weights = _cached_jacobi01(n, 0.0, 0.0)
-    return QuadRule(nodes=nodes, weights=weights, exponent_b=0.0)
+    return QuadRule(*_cached_jacobi01(n, 0.0, 0.0))
 
 
-def split_panels(
-    params: GreenParams, t, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def split_panels(params: GreenParams, t, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample points and coefficients of the split rule for each t.
 
-    Returns (s_left, coef_left, s_right, coef_right), each of shape
-    (len(t), n), such that for a regularized forcing f_reg continuous on
-    [0, 1] the integral over s of G(t_i,s) s^(-sigma) f_reg(s) is
-    coef_left[i] @ f_reg(s_left[i]) + coef_right[i] @ f_reg(s_right[i]).
+    Returns (s, coef), each of shape (len(t), 2n), such that for a
+    regularized forcing f_reg continuous on [0, 1] the integral over s of
+    G(t_i,s) s^(-sigma) f_reg(s) is coef[i] @ f_reg(s[i]).
 
     The kernel has a derivative kink at s = t, so the integral splits
-    there: on [0, t] the substitution s = t*x maps the weight to
-    x^(-sigma) and reuses the canonical Jacobi rule (factor t^(1-sigma));
-    on [t, 1] the integrand is smooth and a Legendre rule integrates it
-    with s^(-sigma) folded in.  A panel of zero length gets zero
-    coefficients.
+    there into two panels, the first n columns and the last n: on [0, t]
+    the substitution s = t*x maps the weight to x^(-sigma) and reuses the
+    canonical Jacobi rule (factor t^(1-sigma)); on [t, 1] the integrand
+    is smooth and a Legendre rule integrates it with s^(-sigma) folded
+    in.  A panel of zero length gets zero coefficients.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not np.all((t >= 0.0) & (t <= 1.0)):
@@ -153,12 +138,14 @@ def split_panels(
     sg = params.sigma
     tc = t[:, None]
     jr = jacobi_rule(n, sg)
-    s_left = tc * jr.nodes
-    coef_left = tc ** (1.0 - sg) * jr.weights * green_eval(params, tc, s_left)
     lr = legendre_rule(n)
-    s_right = tc + (1.0 - tc) * lr.nodes  # >= the first node > 0
-    coef_right = (1.0 - tc) * lr.weights * green_eval(params, tc, s_right) * s_right ** (-sg)
-    return s_left, coef_left, s_right, coef_right
+    # right panel: s >= t + (1-t) * (first node) > 0
+    s = np.concatenate([tc * jr.nodes, tc + (1.0 - tc) * lr.nodes], axis=1)
+    coef = green_eval(params, tc, s) * np.concatenate(
+        [tc ** (1.0 - sg) * jr.weights, (1.0 - tc) * lr.weights], axis=1
+    )
+    coef[:, n:] *= s[:, n:] ** (-sg)
+    return s, coef
 
 
 def integrate_green(params: GreenParams, t, f_reg, n: int):
@@ -173,8 +160,8 @@ def integrate_green(params: GreenParams, t, f_reg, n: int):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def panel_sums(panels, f_reg) -> np.ndarray:
+def panel_sums(rule, f_reg) -> np.ndarray:
     """Per-t integrals of f_reg from ``split_panels`` output (or a row
     slice of it)."""
-    s_left, coef_left, s_right, coef_right = panels
-    return (coef_left * f_reg(s_left)).sum(axis=1) + (coef_right * f_reg(s_right)).sum(axis=1)
+    s, coef = rule
+    return (coef * f_reg(s)).sum(axis=1)

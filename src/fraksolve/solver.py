@@ -154,14 +154,7 @@ class ProblemSpec:
             raise ValueError("max_iters must be >= 1")
         if not (self.u_max > 0.0 and np.isfinite(self.u_max)):
             raise ValueError(f"u_max must be finite and > 0, got {self.u_max!r}")
-        if not (
-            isinstance(self.g, (str, exprparse.Num, exprparse.Var, exprparse.Neg,
-                                exprparse.BinOp, exprparse.Call))
-            or callable(self.g)
-        ):
-            raise TypeError(
-                f"g must be an Expression, expression text, catalog id or callable, got {type(self.g)}"
-            )
+        _check_g(self.g)
 
     def g_callable(self) -> Callable:
         """g as an array callable.  Resolved, and expression text parsed,
@@ -172,24 +165,29 @@ class ProblemSpec:
         return hit[2]
 
 
+def _check_g(g) -> None:
+    if not (isinstance(g, (str, Expression)) or callable(g)):
+        raise TypeError(
+            f"g must be an Expression, expression text, catalog id or callable, got {type(g)}"
+        )
+
+
 def _resolve_g(g: GFunction, params: GreenParams) -> Callable:
+    _check_g(g)
     if isinstance(g, str):
         if g in G_CATALOG_IDS:
             return catalog_g(g, params)
-        expr = exprparse.parse(g)
-        return lambda t, u: exprparse.evaluate(expr, t, u)
-    if isinstance(g, (exprparse.Num, exprparse.Var, exprparse.Neg, exprparse.BinOp, exprparse.Call)):
+        g = exprparse.parse(g)
+    if isinstance(g, Expression):
         return lambda t, u: exprparse.evaluate(g, t, u)
-    if callable(g):
 
-        def wrapped(t, u):
-            out = g(t, u)
-            if np.ndim(out) == 0 and np.ndim(t) > 0:
-                return np.full(np.shape(t), float(out))
-            return out
+    def wrapped(t, u):
+        out = g(t, u)
+        if np.ndim(out) == 0 and np.ndim(t) > 0:
+            return np.full(np.shape(t), float(out))
+        return out
 
-        return wrapped
-    raise TypeError(f"g must be an Expression, expression text, catalog id or callable, got {type(g)}")
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,6 @@ class SolutionGrid:
             return float(out[0])
         return out.reshape(x_arr.shape)
 
-    __call__ = interpolate
-
     def sup_diff(self, other: "SolutionGrid") -> float:
         return float(np.max(np.abs(self.values - other.values)))
 
@@ -305,10 +301,9 @@ class DiscreteGreenOperator:
 
     Per collocation node the split quadrature samples are fixed
     (``split_panels``), so kernel values, rule weights and the
-    barycentric maps from grid values to sample points are all matrices
-    built once.  ``apply`` is then a handful of vectorized operations;
-    per-node sums use a fixed order, so results do not depend on
-    scheduling.
+    barycentric map from grid values to sample points are matrices built
+    once.  ``apply`` is then a handful of vectorized operations; per-node
+    sums use a fixed order, so results do not depend on scheduling.
 
     With ``out_nodes`` the operator takes values on the ``grid_points``
     grid and returns T u at ``out_nodes`` instead (a Nystrom
@@ -320,36 +315,29 @@ class DiscreteGreenOperator:
         self.params = params
         tt = chebyshev_lobatto_nodes(grid_points)
         self.nodes = tt
-        self.s_left, self.coef_left, self.s_right, self.coef_right = split_panels(
-            params, tt if out_nodes is None else out_nodes, quad_points
-        )
-        w = _bary_weights(grid_points)
-        self._interp_left = _bary_matrix(tt, w, self.s_left.ravel())
-        self._interp_right = _bary_matrix(tt, w, self.s_right.ravel())
+        out_nodes = tt if out_nodes is None else np.asarray(out_nodes, dtype=float)
+        self.s, self.coef = split_panels(params, out_nodes, quad_points)
+        self._interp = _bary_matrix(tt, _bary_weights(grid_points), self.s.ravel())
+        # the kernel vanishes identically at t = 0 and t = 1
+        self._boundary = (out_nodes == 0.0) | (out_nodes == 1.0)
         # start-grid values -> T u at these nodes; built by the first
         # nested start that needs it, and dropped with this operator
         self.start_transfer: DiscreteGreenOperator | None = None
 
     def apply(self, values: np.ndarray, g: Callable, enforce_cone: bool) -> np.ndarray:
-        m, n = self.s_left.shape
-        u_left = (self._interp_left @ values).reshape(m, n)
-        u_right = (self._interp_right @ values).reshape(m, n)
+        u = (self._interp @ values).reshape(self.s.shape)
         if enforce_cone:
             # cone elements stay non-negative; interpolation overshoot is
             # projected back so g never sees a spurious negative u
-            u_left = np.maximum(u_left, 0.0)
-            u_right = np.maximum(u_right, 0.0)
-        g_left = np.asarray(g(self.s_left, u_left), dtype=float)
-        g_right = np.asarray(g(self.s_right, u_right), dtype=float)
-        if enforce_cone and (np.any(g_left < 0.0) or np.any(g_right < 0.0)):
-            bad = min(g_left.min(), g_right.min())
+            u = np.maximum(u, 0.0)
+        gs = np.asarray(g(self.s, u), dtype=float)
+        if enforce_cone and np.any(gs < 0.0):
             raise ConeViolationError(
-                f"g evaluated negative ({bad:.6g}) at a quadrature sample; "
+                f"g evaluated negative ({gs.min():.6g}) at a quadrature sample; "
                 "the nonlinearity must map into [0, inf)"
             )
-        out = (self.coef_left * g_left).sum(axis=1) + (self.coef_right * g_right).sum(axis=1)
-        out[0] = 0.0
-        out[-1] = 0.0
+        out = (self.coef * gs).sum(axis=1)
+        out[self._boundary] = 0.0
         return out
 
 
@@ -529,13 +517,7 @@ def _nested_start(p: ProblemSpec, g: Callable, fine: DiscreteGreenOperator) -> t
         return zero
 
 
-def solve(
-    p: ProblemSpec,
-    u0: SolutionGrid | None = None,
-    uncertified: bool = False,
-    cert_samples: int = 2000,
-    seed: int = 0,
-) -> SolveResult:
+def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = False) -> SolveResult:
     """Picard iteration u_{k+1} = T u_k to the fixed point.
 
     Refuses to iterate when the contraction certificate fails, unless
@@ -547,7 +529,7 @@ def solve(
     """
     certificate = None
     if not uncertified:
-        certificate = certify_contraction(p, n_samples=cert_samples, seed=seed)
+        certificate = certify_contraction(p)
         if not certificate.passed:
             raise CertificateError(certificate)
     op = _operator_for(p.params, p.grid_points, p.quad_points)
@@ -596,23 +578,22 @@ class PositivityReport:
         }
 
 
-def check_positivity(
-    p: ProblemSpec,
-    u: SolutionGrid,
-    n_samples: int = 256,
-    seed: int = 0,
-    origin_floor: float = 1e-8,
-) -> PositivityReport:
+# u pairs sampled for the monotonicity check; the least g(t, 0) near the
+# origin that counts as a forcing positive there
+_POSITIVITY_SAMPLES, _ORIGIN_FLOOR = 256, 1e-8
+
+
+def check_positivity(p: ProblemSpec, u: SolutionGrid, seed: int = 0) -> PositivityReport:
     g = p.g_callable()
     rng = np.random.default_rng(seed)
     tt = u.nodes
-    xs = rng.uniform(0.0, p.u_max, size=(n_samples, 1))
-    ys = xs + rng.uniform(0.0, p.u_max, size=(n_samples, 1))
+    xs = rng.uniform(0.0, p.u_max, size=(_POSITIVITY_SAMPLES, 1))
+    ys = xs + rng.uniform(0.0, p.u_max, size=(_POSITIVITY_SAMPLES, 1))
     t_row = tt[None, :]
     monotone = bool(np.all(np.asarray(g(t_row, xs)) <= np.asarray(g(t_row, ys)) + 1e-12))
     t_near0 = np.geomspace(1e-8, 1e-2, 25)
     g_origin = np.asarray(g(t_near0, np.zeros_like(t_near0)))
-    forcing_ok = bool(np.min(g_origin) >= origin_floor)
+    forcing_ok = bool(np.min(g_origin) >= _ORIGIN_FLOOR)
     min_interior = float(np.min(u.values[1:-1]))
     verdict = (
         "verified positive"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["gamma", "gammaln", "beta", "betaln"]
+__all__ = ["gamma", "beta"]
 
 
 def gamma(x: float) -> float:
@@ -18,24 +18,12 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def gammaln(x: float) -> float:
-    """log(Gamma(x)) for x > 0, computed without forming Gamma(x)."""
-    if not x > 0.0:
-        raise ValueError(f"gammaln: argument must be positive, got {x!r}")
-    return math.lgamma(x)
-
-
-def betaln(x: float, y: float) -> float:
-    """log(B(x, y)) for x, y > 0."""
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError(f"betaln: arguments must be positive, got {x!r}, {y!r}")
-    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-
-
 def beta(x: float, y: float) -> float:
     """Euler beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), x, y > 0.
 
     Evaluated in log space; safe for small first arguments where the
     individual gamma values would be large.
     """
-    return math.exp(betaln(x, y))
+    if not (x > 0.0 and y > 0.0):
+        raise ValueError(f"beta: arguments must be positive, got {x!r}, {y!r}")
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraksolve.cli import main
 
@@ -146,15 +152,82 @@ def test_solve_integral_float_size_accepted(tmp_path):
     "flags",
     [["--g", "exp(u)", "--umax", "1000", "--lambda", "1"],
      ["--g", "sqrt(u-1)", "--lambda", "1"],
-     ["--g", "0.1*u-1", "--lambda", "2"]],
+     ["--g", "0.1*u-1", "--lambda", "2"],
+     ["--g", "u^1000", "--lambda", "1"]],
 )
 def test_solve_g_outside_domain_or_cone_is_bad_input(flags, tmp_path, capsys):
+    out = tmp_path / "x"
     code = main(["solve", "--alpha", "3.5", "--sigma", "0.5", "--tau", "1", *flags,
-                 "--out", str(tmp_path / "x")])
+                 "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()  # nothing is written before the solve succeeds
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000,
+     '{"alpha": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["document", "field"],
+)
+def test_solve_deeply_nested_json_is_malformed(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "x"
+    assert main(["solve", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _not(valid):
+    """JSON values of other types than the field's valid ones."""
+    others = {"bool": st.booleans(), "null": st.none(), "text": st.text(max_size=4),
+              "list": st.lists(st.integers(), max_size=2),
+              "number": st.integers() | st.floats(allow_nan=False)}
+    return st.one_of([strategy for kind, strategy in others.items() if kind not in valid])
+
+
+_NOT_NUMBER = _not({"number"})
+_NAN = st.just(float("nan"))
+_MALFORMED_FIELDS = {
+    "alpha": _NOT_NUMBER | _NAN | st.floats(max_value=3.0) | st.floats(min_value=4.0, exclude_min=True),
+    "sigma": _NOT_NUMBER | _NAN | st.floats(max_value=0.0) | st.floats(min_value=1.0),
+    "lambda": _NOT_NUMBER | _NAN | st.floats(max_value=0.0) | st.just(float("inf")),
+    "tau": _NOT_NUMBER | _NAN | st.floats(max_value=0.0),
+    "tol": _NOT_NUMBER | _NAN | st.floats(max_value=0.0),
+    "u_max": _NOT_NUMBER | _NAN | st.floats(max_value=0.0) | st.just(float("inf")),
+    "grid_points": _NOT_NUMBER | st.integers(max_value=2) | st.integers(min_value=1025)
+    | st.floats(3.0, 65.0).filter(lambda v: not v.is_integer()),
+    "quad_points": _NOT_NUMBER | st.integers(max_value=0) | st.integers(min_value=257)
+    | st.floats(1.0, 65.0).filter(lambda v: not v.is_integer()),
+    "max_iters": _NOT_NUMBER | st.integers(max_value=0) | st.floats(1.0, 9.0).filter(
+        lambda v: not v.is_integer()),
+    "enforce_cone": _not({"bool"}),
+    "g": _not({"text"}) | st.sampled_from(["", "1 +", "2+*3", "foo(u)", "(" * 3000 + "u",
+                                           "sqrt(u-1)", "u^1000"]),
+    "sigma_typo": st.integers(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad=st.one_of([st.tuples(st.just(k), v) for k, v in _MALFORMED_FIELDS.items()]))
+@example(bad=("enforce_cone", "no"))
+@example(bad=("tol", True))
+@example(bad=("alpha", 10**400))  # an integer beyond the float range
+def test_solve_malformed_problem_field_is_bad_input(bad):
+    key, value = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "p.json", Path(tmp) / "x"
+        path.write_text(json.dumps({**MANUFACTURED, key: value}))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["solve", str(path), "--out", str(out)])
+        assert code == 1, bad
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+        assert not out.exists()
 
 
 def test_solve_parses_expression_once(monkeypatch, tmp_path):

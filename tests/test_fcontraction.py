@@ -26,7 +26,7 @@ def test_catalog_unknown_id():
 @pytest.mark.parametrize("cid", CATALOG_IDS)
 def test_catalog_members_pass_with_shipped_witness(cid):
     rep = verify_control_class(control_catalog(cid))
-    assert rep.passed, rep.to_dict()
+    assert rep.passed, rep
 
 
 def test_wrong_witness_fails_power_condition():
@@ -54,11 +54,6 @@ def test_non_monotone_fails():
     wavy = ControlFunction("wavy", lambda t: np.log(t) + 0.5 * np.sin(10.0 * np.asarray(t)), 0.5)
     rep = verify_control_class(wavy)
     assert not rep.strictly_increasing
-
-
-def test_sample_floor():
-    with pytest.raises(ValueError):
-        verify_control_class(control_catalog("ln"), n_samples=10)
 
 
 # --- contraction inequality checker ----------------------------------------

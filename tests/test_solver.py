@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from fraksolve import exprparse
 from fraksolve.exprparse import EvalDomainError
-from fraksolve.kernel import GreenParams
+from fraksolve.kernel import GreenParams, green_weight_integral
 from fraksolve import solver as solver_module
-from fraksolve.quadrature import split_panels
+from fraksolve.quadrature import panel_sums, split_panels
 from fraksolve.solver import (
     CertificateError,
     ConeViolationError,
+    DiscreteGreenOperator,
     NonConvergenceError,
     ProblemSpec,
     SolutionGrid,
@@ -89,10 +90,10 @@ def test_interpolate_in_blocks_matches_one_matrix(monkeypatch):
 @pytest.mark.parametrize("grid, quad", [(33, 48), (65, 64)])
 def test_bary_matrix_rows_sum_to_one_on_operator_samples(grid, quad):
     nodes = chebyshev_lobatto_nodes(grid)
-    s_left, _, s_right, _ = split_panels(GreenParams(3.05, 0.95), nodes, quad)
-    for x in (s_left.ravel(), s_right.ravel()):
-        mat = _bary_matrix(nodes, _bary_weights(grid), x)
-        np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
+    s, _ = split_panels(GreenParams(3.05, 0.95), nodes, quad)
+    assert s.shape == (grid, 2 * quad)
+    mat = _bary_matrix(nodes, _bary_weights(grid), s.ravel())
+    np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_solution_grid_validation():
@@ -130,6 +131,22 @@ def test_cone_violation_raised_for_signed_forcing():
     p = spec_for("manufactured")  # enforce_cone defaults to True
     with pytest.raises(ConeViolationError):
         apply_green_operator(SolutionGrid.zeros(33), p)
+
+
+@pytest.mark.parametrize("grid, quad", [(33, 48), (65, 64)])
+def test_apply_is_the_split_rule_for_u_independent_forcing(grid, quad):
+    # one rule, one reduction: the sweep and panel_sums agree bit for bit
+    op = DiscreteGreenOperator(P35, grid, quad)
+    fcos = lambda s: np.cos(3.0 * np.asarray(s))
+    out = op.apply(np.linspace(0.0, 1.0, grid), lambda s, u: fcos(s), False)
+    assert np.array_equal(out, panel_sums(split_panels(P35, op.nodes, quad), fcos))
+
+
+def test_apply_keeps_output_nodes_near_the_ends():
+    t = np.array([1e-3, 0.5, 0.999])
+    op = DiscreteGreenOperator(P35, 33, 128, out_nodes=t)
+    out = op.apply(np.zeros(33), lambda s, u: np.ones_like(s), True)
+    np.testing.assert_allclose(out, green_weight_integral(P35, t), rtol=1e-8, atol=0.0)
 
 
 def test_apply_rejects_mismatched_grid():
@@ -378,8 +395,8 @@ def test_operator_cache_holds_the_two_most_recent_operators():
     assert list(solver_module._op_cache) == [(P35, 129, 96), (P35, 33, 48)]
     # the Nystrom transfer lives on the fine operator, not in the cache
     transfer = solver_module._op_cache[(P35, 129, 96)].start_transfer
-    assert transfer._interp_left.shape == (129 * 48, 33)
-    assert transfer.s_left.shape == (129, 48) and len(transfer.nodes) == 33
+    assert transfer._interp.shape == (129 * 96, 33)
+    assert transfer.s.shape == (129, 96) and len(transfer.nodes) == 33
     solve(spec_for("1", grid_points=17))
     assert list(solver_module._op_cache) == [(P35, 33, 48), (P35, 17, 48)]
 
