@@ -25,7 +25,7 @@ from .kernel import (
     green_weight_integral_max,
     origin_continuity_bound,
 )
-from .quadrature import integrate_green, jacobi_rule, panel_sums, split_panels
+from .quadrature import MAX_POINTS, integrate_green, jacobi_rule, panel_sums, split_panels
 from .solver import (
     G_CATALOG_IDS,
     ConeViolationError,
@@ -162,6 +162,8 @@ def cmd_solve(args) -> int:
     try:
         spec = _build_spec(args)
         check_residual_step(args.h)  # before any artifact is written
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
     except ParseError as exc:
         print(f"error: invalid expression: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -236,6 +238,9 @@ def cmd_kernel(args) -> int:
     m = args.grid
     if m < 2:
         print("error: --grid must be at least 2", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if not 1 <= args.quad <= MAX_POINTS:
+        print(f"error: --quad must be in [1, {MAX_POINTS}]", file=sys.stderr)
         return EXIT_BAD_INPUT
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -415,6 +420,9 @@ def run_verify_suite(seed: int = 0, perturb_kernel: float = 0.0) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     report = run_verify_suite(seed=args.seed, perturb_kernel=args.perturb_kernel)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

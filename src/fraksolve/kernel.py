@@ -9,6 +9,7 @@ bound on |H(t) - H(0)| for bounded regularized forcings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,7 @@ def green_weight_integral(params: GreenParams, t):
     return out
 
 
+@functools.lru_cache(maxsize=4)  # every solve's certificate asks for it
 def green_weight_integral_max(params: GreenParams) -> tuple[float, float]:
     """Maximum of the weighted kernel integral over t in [0, 1].
 

@@ -209,25 +209,27 @@ def _bary_weights(m: int) -> np.ndarray:
     return w
 
 
-def _bary_matrix(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows map node values to interpolant values at the points x.
-
-    Built in one buffer: x - nodes, the weights divided into it, each row
-    normalized by its sum (Berrut & Trefethen, SIAM Rev. 46, 2004).
-    """
-    x = np.asarray(x, dtype=float).ravel()
+def _bary_reciprocals(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray):
+    """weights / (x - nodes) per point of x, in one buffer, and row sums.
+    An exact node hit, or a near-hit where weight/diff overflowed, leaves
+    a non-finite sum; such rows, and zero-sum ones, snap to the nearest
+    node (a one-hot row with sum 1)."""
     mat = x[:, None] - nodes[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(weights, mat, out=mat)
-        rowsum = mat.sum(axis=1, keepdims=True)
-        mat /= rowsum
-    # an exact node hit, or a near-hit where weight/diff overflowed, leaves
-    # a non-finite row sum; such rows, and any with a zero sum, collapse to
-    # the nearest node
-    snap = np.flatnonzero(~np.isfinite(rowsum[:, 0]) | (rowsum[:, 0] == 0.0))
-    if snap.size:
-        mat[snap] = 0.0
-        mat[snap, np.abs(x[snap, None] - nodes).argmin(axis=1)] = 1.0
+        rowsum = mat.sum(axis=1)
+    snap = np.flatnonzero(~np.isfinite(rowsum) | (rowsum == 0.0))
+    mat[snap] = 0.0
+    mat[snap, np.abs(x[snap, None] - nodes).argmin(axis=1)] = 1.0
+    rowsum[snap] = 1.0
+    return mat, rowsum
+
+
+def _bary_matrix(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows map node values to interpolant values at the points x (Berrut
+    & Trefethen, SIAM Rev. 46, 2004)."""
+    mat, rowsum = _bary_reciprocals(nodes, weights, np.asarray(x, dtype=float).ravel())
+    mat /= rowsum[:, None]
     return mat
 
 
@@ -272,10 +274,10 @@ class SolutionGrid:
         return cls(nodes, np.asarray(fn(nodes), dtype=float))
 
     def interpolate(self, x):
-        """Barycentric interpolation at scalar or array x.
+        """Barycentric interpolation, second form, at scalar or array x.
 
-        Points are taken in blocks, so the interpolation matrix stays
-        within ``_INTERP_BLOCK`` entries however many points are asked for.
+        Points are taken in blocks, so the reciprocal matrix stays within
+        ``_INTERP_BLOCK`` entries however many points are asked for.
         """
         w = _bary_weights(len(self.nodes))
         x_arr = np.asarray(x, dtype=float)
@@ -283,7 +285,8 @@ class SolutionGrid:
         out = np.empty(flat.size)
         step = max(1, _INTERP_BLOCK // len(self.nodes))
         for i in range(0, flat.size, step):
-            out[i:i + step] = _bary_matrix(self.nodes, w, flat[i:i + step]) @ self.values
+            mat, rowsum = _bary_reciprocals(self.nodes, w, flat[i:i + step])
+            out[i:i + step] = (mat @ self.values) / rowsum
         if x_arr.ndim == 0:
             return float(out[0])
         return out.reshape(x_arr.shape)
@@ -320,9 +323,6 @@ class DiscreteGreenOperator:
         self._interp = _bary_matrix(tt, _bary_weights(grid_points), self.s.ravel())
         # the kernel vanishes identically at t = 0 and t = 1
         self._boundary = (out_nodes == 0.0) | (out_nodes == 1.0)
-        # start-grid values -> T u at these nodes; built by the first
-        # nested start that needs it, and dropped with this operator
-        self.start_transfer: DiscreteGreenOperator | None = None
 
     def apply(self, values: np.ndarray, g: Callable, enforce_cone: bool) -> np.ndarray:
         u = (self._interp @ values).reshape(self.s.shape)
@@ -341,22 +341,29 @@ class DiscreteGreenOperator:
         return out
 
 
-# Least recently used first.  Two entries hold the fine and start operators
-# of one nested solve; a sweep over fresh (alpha, sigma) never hits, so a
-# larger cache would only retain memory.
-_op_cache: dict[tuple[GreenParams, int, int], DiscreteGreenOperator] = {}
+# Least recently used first.  An entry per requested (params, grid, quad)
+# maps (grid, quad, output grid or None) to each operator its solve uses.
+# A sweep over fresh (alpha, sigma) never hits; more entries only hold memory.
+_op_cache: dict[tuple[GreenParams, int, int], dict] = {}
 _OP_CACHE_SIZE = 2
 
 
-def _operator_for(params: GreenParams, grid_points: int, quad_points: int) -> DiscreteGreenOperator:
-    key = (params, grid_points, quad_points)
-    op = _op_cache.pop(key, None)
-    if op is None:
-        while len(_op_cache) >= _OP_CACHE_SIZE:
-            del _op_cache[next(iter(_op_cache))]
-        op = DiscreteGreenOperator(params, grid_points, quad_points)
-    _op_cache[key] = op
-    return op
+def _cache_entry(p: ProblemSpec) -> dict:
+    key = (p.params, p.grid_points, p.quad_points)
+    while key not in _op_cache and len(_op_cache) >= _OP_CACHE_SIZE:
+        del _op_cache[next(iter(_op_cache))]
+    entry = _op_cache[key] = _op_cache.pop(key, {})  # now the most recent
+    return entry
+
+
+def _operator(entry: dict, params: GreenParams, grid_points: int, quad_points: int,
+              out_points: int | None = None) -> DiscreteGreenOperator:
+    """The entry's operator, built on first use; T u at out_points nodes."""
+    key = (grid_points, quad_points, out_points)
+    if key not in entry:
+        out = None if out_points is None else chebyshev_lobatto_nodes(out_points)
+        entry[key] = DiscreteGreenOperator(params, grid_points, quad_points, out)
+    return entry[key]
 
 
 def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
@@ -366,7 +373,7 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
     identically there) and is non-negative whenever g is.  With
     ``enforce_cone`` set, a negative g sample raises ConeViolationError.
     """
-    op = _operator_for(p.params, p.grid_points, p.quad_points)
+    op = _operator(_cache_entry(p), p.params, p.grid_points, p.quad_points)
     if len(u.nodes) != len(op.nodes) or not np.array_equal(u.nodes, op.nodes):
         raise ValueError("grid of u does not match ProblemSpec.grid_points")
     vals = op.apply(u.values, p.g_callable(), p.enforce_cone)
@@ -457,22 +464,21 @@ def certify_contraction(p: ProblemSpec, n_samples: int = 2000, seed: int = 0) ->
 
 @dataclass
 class SolveResult:
-    """``trace`` and ``iterations`` count the sweeps on the requested grid;
-    ``start_iterations`` the start-grid sweeps whose solution they started
-    from (0 when they started from zero or from a given u0)."""
+    """``u`` is on the requested grid; ``trace`` and ``iterations`` count
+    the sweeps on ``solve_grid``, the ladder level that served it, and
+    ``start_iterations`` those on the levels below (0 without a ladder)."""
 
     u: SolutionGrid
     trace: np.ndarray
     certificate: ContractionCertificate | None
     iterations: int
     start_iterations: int = 0
+    solve_grid: int = 0
 
 
-# Grids from _NESTED_MIN_GRID points up start from the solution on the start
-# grid.  On smaller grids the start-grid solve, with its operator build,
-# costs more than the fine sweeps it saves.
-_NESTED_MIN_GRID = 129
-_START_GRID, _START_QUAD = 33, 48
+# On grids below _LADDER_MIN_GRID the coarse solves of a ladder, with
+# their operator builds, cost more than the fine sweeps they save.
+_LADDER_MIN_GRID = 129
 
 
 def _picard(
@@ -490,31 +496,36 @@ def _picard(
     return u, np.asarray(deltas)
 
 
-def _nested_start(p: ProblemSpec, g: Callable, fine: DiscreteGreenOperator) -> tuple[np.ndarray, int]:
-    """Start values at the nodes of ``fine`` and the start-grid sweeps
-    they took.
-
-    Picard on the start grid reaches the fixed point of the same T.  Its
-    solution is carried to the fine nodes by one Nystrom step, T applied
-    with the start grid's own rule at the fine nodes (Atkinson 1997,
-    section 4.1): the kernel smooths away the error of interpolating
-    between the start nodes, so the fine loop starts close to its fixed
-    point.  If the start solve or that step raises, or the solve does not
-    reach tol, the start is zero and the fine loop alone decides the
-    outcome.
+def _ladder(p: ProblemSpec, g: Callable, entry: dict) -> tuple[np.ndarray, np.ndarray | None, int, int]:
+    """Picard on 33 (rule of at most 48 points), 65, 129, ... points below
+    the requested grid, each level started from one Nystrom application of
+    the level below's rule to its solution (Atkinson 1997, section 4.1).
+    The first later level whose first delta is <= tol serves: one
+    application of its rule fills the requested nodes.  Returns those
+    values, the serving deltas (None: the requested grid sweeps on from
+    the values), the sweeps below and the serving grid; after an error or
+    a missed tol, zeros for the requested grid alone to start from.
     """
-    quad = min(_START_QUAD, p.quad_points)
-    op = _operator_for(p.params, _START_GRID, quad)
-    zero = np.zeros(len(fine.nodes)), 0
+    m, n = p.grid_points, p.quad_points
+    grid, quad = 33, min(48, n)
+    u, below = np.zeros(grid), 0
     try:
-        u, deltas = _picard(op, g, np.zeros(_START_GRID), p)
-        if not deltas[-1] <= p.tol:
-            return zero
-        if fine.start_transfer is None:
-            fine.start_transfer = DiscreteGreenOperator(p.params, _START_GRID, quad, fine.nodes)
-        return fine.start_transfer.apply(u, g, p.enforce_cone), len(deltas)
+        while True:
+            u, deltas = _picard(_operator(entry, p.params, grid, quad), g, u, p)
+            if not deltas[-1] <= p.tol:
+                break
+            served = grid > 33 and deltas[0] <= p.tol
+            up = m if served else min(2 * grid - 1, m)
+            u = _operator(entry, p.params, grid, quad, up).apply(u, g, p.enforce_cone)
+            if served:
+                return u, deltas, below, grid
+            below += len(deltas)
+            if up == m:
+                return u, None, below, m
+            grid, quad = up, n
     except (SolverError, EvalDomainError):
-        return zero
+        pass
+    return np.zeros(m), None, 0, m
 
 
 def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = False) -> SolveResult:
@@ -522,32 +533,36 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
 
     Refuses to iterate when the contraction certificate fails, unless
     ``uncertified`` is set.  Without ``u0``, grids of 129 points or more
-    start from the solution on the 33-point grid, carried to the fine
-    nodes by one Nystrom step, smaller ones from zero; the limit is the
-    same unique fixed point either way.  Raises NonConvergenceError
-    (carrying the delta trace) if max_iters sweeps do not reach tol.
+    are solved on ``_ladder``: the first level that resolves serves by one
+    Nystrom application onto the requested nodes, and ``trace`` and
+    ``iterations`` count that level's sweeps.  Smaller grids start from
+    zero.  The limit is the same unique fixed point either way.  Raises
+    NonConvergenceError (carrying the delta trace) if max_iters sweeps do
+    not reach tol.
     """
     certificate = None
     if not uncertified:
         certificate = certify_contraction(p)
         if not certificate.passed:
             raise CertificateError(certificate)
-    op = _operator_for(p.params, p.grid_points, p.quad_points)
     g = p.g_callable()
-    start_iterations = 0
+    entry = _cache_entry(p)
+    nodes = chebyshev_lobatto_nodes(p.grid_points)
+    deltas, start_iterations, solve_grid = None, 0, p.grid_points
     if u0 is not None:
-        if len(u0.nodes) != p.grid_points or not np.array_equal(u0.nodes, op.nodes):
+        if len(u0.nodes) != p.grid_points or not np.array_equal(u0.nodes, nodes):
             raise ValueError("u0 grid does not match ProblemSpec.grid_points")
         u = u0.values.copy()
-    elif p.grid_points >= _NESTED_MIN_GRID:
-        u, start_iterations = _nested_start(p, g, op)
+    elif p.grid_points >= _LADDER_MIN_GRID:
+        u, deltas, start_iterations, solve_grid = _ladder(p, g, entry)
     else:
         u = np.zeros(p.grid_points)
-    u, deltas = _picard(op, g, u, p)
-    if not deltas[-1] <= p.tol:
-        raise NonConvergenceError(deltas, p.tol)
-    return SolveResult(SolutionGrid(op.nodes, u, deltas), deltas, certificate, len(deltas),
-                       start_iterations)
+    if deltas is None:
+        u, deltas = _picard(_operator(entry, p.params, p.grid_points, p.quad_points), g, u, p)
+        if not deltas[-1] <= p.tol:
+            raise NonConvergenceError(deltas, p.tol)
+    return SolveResult(SolutionGrid(nodes, u, deltas), deltas, certificate, len(deltas),
+                       start_iterations, solve_grid)
 
 
 # ---------------------------------------------------------------------------

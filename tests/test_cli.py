@@ -140,6 +140,29 @@ def test_solve_non_integral_size_is_bad_input(key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1", "--lambda", "0.1", "--tau", "1",
+     "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+], ids=["solve", "verify"])
+def test_negative_seed_is_bad_input(argv, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "3"])
+def test_solve_problem_file_not_an_object_is_bad_input(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "x"
+    assert main(["solve", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: problem file must contain a JSON object\n"
+    assert not out.exists()
+
+
 def test_solve_integral_float_size_accepted(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({**MANUFACTURED, "grid_points": 17.0}))
@@ -298,6 +321,16 @@ def test_kernel_command(tmp_path, capsys):
 def test_kernel_invalid_params(tmp_path):
     assert main(["kernel", "--alpha", "2.0", "--sigma", "0.5", "--out", str(tmp_path)]) == 1
     assert main(["kernel", "--alpha", "3.5", "--sigma", "1.5", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("quad", ["0", "300"])
+def test_kernel_bad_quad_writes_nothing(quad, tmp_path, capsys):
+    out = tmp_path / "k"
+    assert main(["kernel", "--alpha", "3.5", "--sigma", "0.5", "--quad", quad,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --quad") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_default_passes(tmp_path):

@@ -177,6 +177,15 @@ def test_constant_max_against_dense_scan():
     assert green_weight_integral(p, t_star) == pytest.approx(n_value, abs=1e-15)
 
 
+def test_constant_max_memoized_per_params_and_bounded():
+    green_weight_integral_max.cache_clear()
+    params = [GreenParams(3.1 + 0.1 * k, 0.5) for k in range(6)]
+    first = [green_weight_integral_max(p) for p in params]
+    assert green_weight_integral_max.cache_info().currsize <= 4
+    assert green_weight_integral_max(GreenParams(3.6, 0.5)) == first[-1]
+    assert green_weight_integral_max.cache_info().hits == 1
+
+
 def test_origin_bound_values_and_errors():
     p = GreenParams(3.5, 0.5)
     assert origin_continuity_bound(p, 0.0, 3.0) == 0.0

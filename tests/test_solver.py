@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fraksolve import exprparse
 from fraksolve.exprparse import EvalDomainError
-from fraksolve.kernel import GreenParams, green_weight_integral
+from fraksolve.kernel import GreenParams, green_weight_integral, green_weight_integral_max
 from fraksolve import solver as solver_module
 from fraksolve.quadrature import panel_sums, split_panels
 from fraksolve.solver import (
@@ -358,17 +358,45 @@ def test_nystrom_start_takes_no_more_fine_sweeps_than_interpolated_start(alpha, 
 
 
 @pytest.mark.parametrize("error", [ConeViolationError, EvalDomainError])
-def test_nystrom_transfer_error_falls_back_to_zero_start(monkeypatch, error):
-    class FailingTransfer:
+@pytest.mark.parametrize("key", [(65, 96, None), (65, 96, 129)], ids=["level", "output"])
+def test_ladder_error_falls_back_to_zero_start(monkeypatch, error, key):
+    class Failing:
         def apply(self, values, g, enforce_cone):
             raise error("injected")
 
     p = nested_spec("1 + 40*u/(1+sqrt(u))^2")
-    fine = solver_module._operator_for(P35, 129, 96)
-    monkeypatch.setattr(fine, "start_transfer", FailingTransfer())
+    assert solve(p).solve_grid == 65  # the injection below hits the path taken
+    monkeypatch.setitem(solver_module._cache_entry(p), key, Failing())
     result = solve(p)
-    assert result.start_iterations == 0
+    assert result.start_iterations == 0 and result.solve_grid == 129
     assert np.array_equal(result.trace, solve(p, u0=SolutionGrid.zeros(129)).trace)
+
+
+@pytest.mark.parametrize("c", [0.5, 20.0, 40.0])
+def test_ladder_serves_continuation_grid_from_65_points(c):
+    p = ProblemSpec(P35, f"1 + {c!r}*u/(1+sqrt(u))^2", lambda_claim=c, tau=1.0,
+                    grid_points=257, quad_points=128)
+    result = solve(p)
+    assert result.solve_grid == 65 and result.start_iterations > 0
+    assert result.trace[0] <= p.tol and len(result.u.values) == 257
+
+
+@pytest.mark.parametrize("alpha", [3.01, 3.5, 4.0])
+def test_ladder_closer_to_tight_solve_than_direct_solve(alpha):
+    # g = 1 + c u/(1+sqrt(u))^2 at c N = 0.95, the slowest contraction: the
+    # served values are within 2e-8 N of a tol 1e-14 solve, and no farther from
+    # it than a zero-start solve to the default tol (measured 8.8e-9 N
+    # against 4.5e-8 N at alpha = 4)
+    params = GreenParams(alpha, 0.1)
+    n_value = green_weight_integral_max(params)[0]
+    c = 0.95 / n_value
+    p = ProblemSpec(params, f"1 + {c!r}*u/(1+sqrt(u))^2", lambda_claim=c, tau=1.0,
+                    grid_points=129, quad_points=96)
+    served = solve(p)
+    direct = solve(p, u0=SolutionGrid.zeros(129))
+    tight = solve(replace(p, tol=1e-14), u0=SolutionGrid.zeros(129))
+    assert served.start_iterations > 0
+    assert served.u.sup_diff(tight.u) <= min(2e-8 * n_value, direct.u.sup_diff(tight.u))
 
 
 def test_expression_parsed_once_per_spec(monkeypatch):
@@ -390,15 +418,20 @@ def test_expression_syntax_error_surfaces_at_first_use():
         solve(p)
 
 
-def test_operator_cache_holds_the_two_most_recent_operators():
-    solve(nested_spec("1"))
-    assert list(solver_module._op_cache) == [(P35, 129, 96), (P35, 33, 48)]
-    # the Nystrom transfer lives on the fine operator, not in the cache
-    transfer = solver_module._op_cache[(P35, 129, 96)].start_transfer
-    assert transfer._interp.shape == (129 * 96, 33)
-    assert transfer.s.shape == (129, 96) and len(transfer.nodes) == 33
+def test_operator_cache_holds_one_ladder_per_entry():
+    solver_module._op_cache.clear()
+    solve(nested_spec("1 + 40*u/(1+sqrt(u))^2"))
+    assert list(solver_module._op_cache) == [(P35, 129, 96)]
+    # 33 -> 65 levels and the Nystrom map from 65 points to the 129 nodes
+    ladder = solver_module._op_cache[(P35, 129, 96)]
+    assert set(ladder) == {(33, 48, None), (33, 48, 65), (65, 96, None), (65, 96, 129)}
+    output = ladder[(65, 96, 129)]
+    assert output._interp.shape == (129 * 192, 65) and output.s.shape == (129, 192)
     solve(spec_for("1", grid_points=17))
-    assert list(solver_module._op_cache) == [(P35, 33, 48), (P35, 17, 48)]
+    solve(spec_for("1"))
+    # small grids keep one operator per entry, as before
+    assert list(solver_module._op_cache) == [(P35, 17, 48), (P35, 33, 48)]
+    assert [list(e) for e in solver_module._op_cache.values()] == [[(17, 48, None)], [(33, 48, None)]]
 
 
 def test_problem_spec_validation():
