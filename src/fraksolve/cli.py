@@ -95,9 +95,9 @@ def _load_problem_file(path: str) -> dict:
     return data
 
 
-def _float_field(data: dict, key: str, default: float | None = None) -> float:
+def _float_field(data: dict, key: str) -> float:
     """A numeric problem field: a JSON number, not a bool or a string."""
-    val = data.get(key, default)
+    val = data[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ValueError(f"{key} must be a number, got {type(val).__name__}")
     try:
@@ -106,12 +106,30 @@ def _float_field(data: dict, key: str, default: float | None = None) -> float:
         raise ValueError(f"{key} is out of range") from None
 
 
-def _int_field(data: dict, key: str, default: int) -> int:
+def _int_field(data: dict, key: str) -> int:
     """An integer problem field; 33.0 is accepted, 33.7 is an error."""
-    val = _float_field(data, key, default)
+    val = _float_field(data, key)
     if not val.is_integer():
         raise ValueError(f"{key} must be an integer, got {val!r}")
     return int(val)
+
+
+def _bool_field(data: dict, key: str) -> bool:
+    """A problem field that must be JSON true or false."""
+    val = data[key]
+    if not isinstance(val, bool):
+        raise ValueError(f"{key} must be true or false, got {type(val).__name__}")
+    return val
+
+
+_OPTIONAL_FIELDS = {
+    "quad_points": _int_field,
+    "grid_points": _int_field,
+    "tol": _float_field,
+    "max_iters": _int_field,
+    "u_max": _float_field,
+    "enforce_cone": _bool_field,
+}
 
 
 def _build_spec(args) -> ProblemSpec:
@@ -141,20 +159,14 @@ def _build_spec(args) -> ProblemSpec:
     g = data["g"]
     if isinstance(g, str) and g not in G_CATALOG_IDS:
         g = parse(g)  # syntax errors surface with their offset before any work
-    enforce_cone = data.get("enforce_cone", True)
-    if not isinstance(enforce_cone, bool):
-        raise ValueError(f"enforce_cone must be true or false, got {type(enforce_cone).__name__}")
+    # fields left out take ProblemSpec's defaults
+    optional = {key: read(data, key) for key, read in _OPTIONAL_FIELDS.items() if key in data}
     return ProblemSpec(
         params=GreenParams(_float_field(data, "alpha"), _float_field(data, "sigma")),
         g=g,
         lambda_claim=_float_field(data, "lambda"),
         tau=_float_field(data, "tau"),
-        quad_points=_int_field(data, "quad_points", 48),
-        grid_points=_int_field(data, "grid_points", 33),
-        tol=_float_field(data, "tol", 1e-10),
-        max_iters=_int_field(data, "max_iters", 200),
-        u_max=_float_field(data, "u_max", 10.0),
-        enforce_cone=enforce_cone,
+        **optional,
     )
 
 

@@ -17,6 +17,7 @@ Grammar (whitespace-insensitive)::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -167,7 +168,10 @@ class _Parser:
     def parse_atom(self) -> Expression:
         kind, val, pos = self.advance()
         if kind == "num":
-            return Num(float(val))
+            value = float(val)
+            if math.isinf(value):  # a literal beyond the float range
+                raise ParseError("number out of range", pos)
+            return Num(value)
         if kind == "name":
             if val in _VARIABLES:
                 return Var(val)
@@ -202,8 +206,9 @@ class _Parser:
 def parse(text: str) -> Expression:
     """Parse expression text over variables t and u.
 
-    Raises ParseError (with character offset) on malformed input and on
-    identifiers other than t, u and the supported functions.
+    Raises ParseError (with character offset) on malformed input, on
+    numbers beyond the float range and on identifiers other than t, u and
+    the supported functions.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)

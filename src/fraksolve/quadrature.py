@@ -15,6 +15,7 @@ are cached per (size, exponents) and shared read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -50,8 +51,11 @@ class QuadRule(NamedTuple):
     weights: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def _jacobi01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] for the weight x^b (1-x)^a, a, b > -1.
+    """Nodes and weights on [0, 1] for the weight x^b (1-x)^a, a, b > -1,
+    built once per (n, a, b); every caller shares the same read-only
+    arrays.
 
     Golub-Welsch (Math. Comp. 23, 1969): the recurrence coefficients of
     the Jacobi polynomials fill a symmetric tridiagonal matrix whose
@@ -75,23 +79,9 @@ def _jacobi01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     x, vecs = np.linalg.eigh(jac)
     nodes = 0.5 * (1.0 + x)
     weights = beta(b + 1.0, a + 1.0) * vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
-
-
-_rule_cache: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _cached_jacobi01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_jacobi01``, built once per (n, a, b); every caller shares the
-    same read-only arrays."""
-    key = (n, float(a), float(b))
-    hit = _rule_cache.get(key)
-    if hit is None:
-        hit = _jacobi01(n, a, b)
-        for arr in hit:
-            arr.setflags(write=False)
-        _rule_cache[key] = hit
-    return hit
 
 
 def _check_points(n: int) -> int:
@@ -109,13 +99,13 @@ def jacobi_rule(n: int, sigma: float) -> QuadRule:
     n = _check_points(n)
     if not 0.0 < sigma < 1.0:
         raise RuleConfigError(f"sigma must be in (0, 1), got {sigma!r}")
-    return QuadRule(*_cached_jacobi01(n, 0.0, -sigma))
+    return QuadRule(*_jacobi01(n, 0.0, -sigma))
 
 
 def legendre_rule(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule on [0, 1] (unit weight)."""
     n = _check_points(n)
-    return QuadRule(*_cached_jacobi01(n, 0.0, 0.0))
+    return QuadRule(*_jacobi01(n, 0.0, 0.0))
 
 
 def split_panels(params: GreenParams, t, n: int) -> tuple[np.ndarray, np.ndarray]:

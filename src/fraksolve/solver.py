@@ -18,13 +18,14 @@ Green-kernel pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 
 from . import exprparse
-from .exprparse import EvalDomainError, Expression
+from .exprparse import Expression
 from .kernel import GreenParams, green_weight_integral_max
 from .quadrature import MAX_POINTS, split_panels
 from .specfun import gamma
@@ -241,19 +242,15 @@ class SolutionGrid:
     """Interpolable representation of a function on [0, 1].
 
     ``nodes`` are the Chebyshev-distributed collocation points (with
-    endpoints); ``values`` the function there; ``trace`` the recorded
-    sup-norm deltas of the Picard sweeps that produced it (empty for
-    hand-built grids).
+    endpoints); ``values`` the function there.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        self.trace = np.asarray(self.trace, dtype=float)
         if self.nodes.shape != self.values.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
 
@@ -341,19 +338,13 @@ class DiscreteGreenOperator:
         return out
 
 
-# Least recently used first.  An entry per requested (params, grid, quad)
-# maps (grid, quad, output grid or None) to each operator its solve uses.
-# A sweep over fresh (alpha, sigma) never hits; more entries only hold memory.
-_op_cache: dict[tuple[GreenParams, int, int], dict] = {}
-_OP_CACHE_SIZE = 2
-
-
-def _cache_entry(p: ProblemSpec) -> dict:
-    key = (p.params, p.grid_points, p.quad_points)
-    while key not in _op_cache and len(_op_cache) >= _OP_CACHE_SIZE:
-        del _op_cache[next(iter(_op_cache))]
-    entry = _op_cache[key] = _op_cache.pop(key, {})  # now the most recent
-    return entry
+@functools.lru_cache(maxsize=2)
+def _operators(params: GreenParams, grid_points: int, quad_points: int) -> dict:
+    """The operators a solve of the requested (params, grid, quad) uses,
+    keyed (grid, quad, output grid or None) and filled by ``_operator``.
+    A sweep over fresh (alpha, sigma) never hits; more entries only hold
+    memory."""
+    return {}
 
 
 def _operator(entry: dict, params: GreenParams, grid_points: int, quad_points: int,
@@ -373,7 +364,8 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
     identically there) and is non-negative whenever g is.  With
     ``enforce_cone`` set, a negative g sample raises ConeViolationError.
     """
-    op = _operator(_cache_entry(p), p.params, p.grid_points, p.quad_points)
+    op = _operator(_operators(p.params, p.grid_points, p.quad_points), p.params,
+                   p.grid_points, p.quad_points)
     if len(u.nodes) != len(op.nodes) or not np.array_equal(u.nodes, op.nodes):
         raise ValueError("grid of u does not match ProblemSpec.grid_points")
     vals = op.apply(u.values, p.g_callable(), p.enforce_cone)
@@ -421,23 +413,25 @@ class ContractionCertificate:
         }
 
 
-def certify_contraction(p: ProblemSpec, n_samples: int = 2000, seed: int = 0) -> ContractionCertificate:
+# (t, x, y) triples the certificate samples
+_CERT_SAMPLES = 2000
+
+
+def certify_contraction(p: ProblemSpec, seed: int = 0) -> ContractionCertificate:
     """Sample the contraction condition; a failing certificate is a valid
     result, not an error."""
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a certificate")
     g = p.g_callable()
     tau = p.tau
     rng = np.random.default_rng(seed)
     tt = chebyshev_lobatto_nodes(p.grid_points)
-    t = rng.choice(tt, size=n_samples)
-    x = rng.uniform(0.0, p.u_max, size=n_samples)
-    y = rng.uniform(0.0, p.u_max, size=n_samples)
+    t = rng.choice(tt, size=_CERT_SAMPLES)
+    x = rng.uniform(0.0, p.u_max, size=_CERT_SAMPLES)
+    y = rng.uniform(0.0, p.u_max, size=_CERT_SAMPLES)
     # probe small separations as well: the ratio peaks as |x-y| -> 0.
     # Below ~1e-8 the difference g(x)-g(y) is cancellation noise in
     # doubles and the ratio would measure rounding, not the nonlinearity,
     # so separations are floored there.
-    shrink = rng.uniform(0.0, 1.0, size=n_samples) ** 4
+    shrink = rng.uniform(0.0, 1.0, size=_CERT_SAMPLES) ** 4
     y = x + (y - x) * shrink
     ok = np.abs(x - y) >= 1e-8
     t, x, y = t[ok], x[ok], y[ok]
@@ -466,7 +460,8 @@ def certify_contraction(p: ProblemSpec, n_samples: int = 2000, seed: int = 0) ->
 class SolveResult:
     """``u`` is on the requested grid; ``trace`` and ``iterations`` count
     the sweeps on ``solve_grid``, the ladder level that served it, and
-    ``start_iterations`` those on the levels below (0 without a ladder)."""
+    ``start_iterations`` those on the levels below (0 on a one-level
+    ladder)."""
 
     u: SolutionGrid
     trace: np.ndarray
@@ -496,49 +491,22 @@ def _picard(
     return u, np.asarray(deltas)
 
 
-def _ladder(p: ProblemSpec, g: Callable, entry: dict) -> tuple[np.ndarray, np.ndarray | None, int, int]:
-    """Picard on 33 (rule of at most 48 points), 65, 129, ... points below
-    the requested grid, each level started from one Nystrom application of
-    the level below's rule to its solution (Atkinson 1997, section 4.1).
-    The first later level whose first delta is <= tol serves: one
-    application of its rule fills the requested nodes.  Returns those
-    values, the serving deltas (None: the requested grid sweeps on from
-    the values), the sweeps below and the serving grid; after an error or
-    a missed tol, zeros for the requested grid alone to start from.
-    """
-    m, n = p.grid_points, p.quad_points
-    grid, quad = 33, min(48, n)
-    u, below = np.zeros(grid), 0
-    try:
-        while True:
-            u, deltas = _picard(_operator(entry, p.params, grid, quad), g, u, p)
-            if not deltas[-1] <= p.tol:
-                break
-            served = grid > 33 and deltas[0] <= p.tol
-            up = m if served else min(2 * grid - 1, m)
-            u = _operator(entry, p.params, grid, quad, up).apply(u, g, p.enforce_cone)
-            if served:
-                return u, deltas, below, grid
-            below += len(deltas)
-            if up == m:
-                return u, None, below, m
-            grid, quad = up, n
-    except (SolverError, EvalDomainError):
-        pass
-    return np.zeros(m), None, 0, m
-
-
 def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = False) -> SolveResult:
-    """Picard iteration u_{k+1} = T u_k to the fixed point.
+    """Picard iteration u_{k+1} = T u_k to the fixed point, on a ladder of
+    grids that ends at the requested one.
 
     Refuses to iterate when the contraction certificate fails, unless
     ``uncertified`` is set.  Without ``u0``, grids of 129 points or more
-    are solved on ``_ladder``: the first level that resolves serves by one
-    Nystrom application onto the requested nodes, and ``trace`` and
-    ``iterations`` count that level's sweeps.  Smaller grids start from
-    zero.  The limit is the same unique fixed point either way.  Raises
-    NonConvergenceError (carrying the delta trace) if max_iters sweeps do
-    not reach tol.
+    climb from zero on 33 points (rule of at most 48 points) through 65,
+    129, ... points; each level starts from one Nystrom application of the
+    level below's rule to its solution (Atkinson 1997, section 4.1).  The
+    first level above 33 points whose first delta is <= tol serves: one
+    more application fills the requested nodes, and ``trace`` and
+    ``iterations`` count that level's sweeps.  A ``u0`` solve, or a
+    smaller grid (from zero), is a one-level ladder.  The limit is the
+    unique fixed point either way.  An error on any level ends the solve;
+    NonConvergenceError carries the deltas of the level whose max_iters
+    sweeps did not reach tol.
     """
     certificate = None
     if not uncertified:
@@ -546,23 +514,27 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
         if not certificate.passed:
             raise CertificateError(certificate)
     g = p.g_callable()
-    entry = _cache_entry(p)
-    nodes = chebyshev_lobatto_nodes(p.grid_points)
-    deltas, start_iterations, solve_grid = None, 0, p.grid_points
-    if u0 is not None:
-        if len(u0.nodes) != p.grid_points or not np.array_equal(u0.nodes, nodes):
-            raise ValueError("u0 grid does not match ProblemSpec.grid_points")
-        u = u0.values.copy()
-    elif p.grid_points >= _LADDER_MIN_GRID:
-        u, deltas, start_iterations, solve_grid = _ladder(p, g, entry)
-    else:
-        u = np.zeros(p.grid_points)
-    if deltas is None:
-        u, deltas = _picard(_operator(entry, p.params, p.grid_points, p.quad_points), g, u, p)
+    m, n = p.grid_points, p.quad_points
+    entry = _operators(p.params, m, n)
+    nodes = chebyshev_lobatto_nodes(m)
+    if u0 is not None and (len(u0.nodes) != m or not np.array_equal(u0.nodes, nodes)):
+        raise ValueError("u0 grid does not match ProblemSpec.grid_points")
+    grid, quad = (33, min(48, n)) if u0 is None and m >= _LADDER_MIN_GRID else (m, n)
+    u, below = (np.zeros(grid) if u0 is None else u0.values), 0
+    while True:
+        u, deltas = _picard(_operator(entry, p.params, grid, quad), g, u, p)
         if not deltas[-1] <= p.tol:
             raise NonConvergenceError(deltas, p.tol)
-    return SolveResult(SolutionGrid(nodes, u, deltas), deltas, certificate, len(deltas),
-                       start_iterations, solve_grid)
+        if grid == m:
+            break
+        served = grid > 33 and deltas[0] <= p.tol
+        up = m if served else min(2 * grid - 1, m)
+        u = _operator(entry, p.params, grid, quad, up).apply(u, g, p.enforce_cone)
+        if served:
+            break
+        below += len(deltas)
+        grid, quad = up, n
+    return SolveResult(SolutionGrid(nodes, u), deltas, certificate, len(deltas), below, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +622,12 @@ def grunwald_letnikov_residual(
     u: SolutionGrid,
     h: float,
     checkpoints: np.ndarray | None = None,
-    shift: int | None = None,
 ) -> ResidualProfile:
     """|D^alpha u(t) - t^(-sigma) g(t, u(t))| at interior checkpoints.
 
     D^alpha is approximated by the shifted Grunwald-Letnikov sum
     h^(-alpha) sum_j (-1)^j binom(alpha, j) u(t - (j - shift) h), first
-    order in h.  The default shift round(alpha/2) keeps the leading error
+    order in h.  The shift round(alpha/2) keeps the leading error
     coefficient |shift - alpha/2| <= 1/2; the unshifted sum carries the
     coefficient alpha/2 itself, several times larger.  Entirely
     independent of the Green-kernel quadrature pipeline.
@@ -667,8 +638,7 @@ def grunwald_letnikov_residual(
     """
     check_residual_step(h)
     a, sg = p.params.alpha, p.params.sigma
-    if shift is None:
-        shift = int(round(a / 2.0))
+    shift = int(round(a / 2.0))
     if checkpoints is None:
         checkpoints = np.linspace(0.2, 0.8, 13)
     checkpoints = np.asarray(checkpoints, dtype=float)

@@ -230,27 +230,42 @@ _MALFORMED_FIELDS = {
         lambda v: not v.is_integer()),
     "enforce_cone": _not({"bool"}),
     "g": _not({"text"}) | st.sampled_from(["", "1 +", "2+*3", "foo(u)", "(" * 3000 + "u",
-                                           "sqrt(u-1)", "u^1000"]),
+                                           "sqrt(u-1)", "u^1000", "1e400"]),
     "sigma_typo": st.integers(),
 }
 
 
+_MALFORMED_FIELD = st.one_of([st.tuples(st.just(k), v) for k, v in _MALFORMED_FIELDS.items()])
+
+
 @settings(max_examples=150, deadline=None)
-@given(bad=st.one_of([st.tuples(st.just(k), v) for k, v in _MALFORMED_FIELDS.items()]))
-@example(bad=("enforce_cone", "no"))
-@example(bad=("tol", True))
-@example(bad=("alpha", 10**400))  # an integer beyond the float range
+@given(bad=st.lists(_MALFORMED_FIELD, min_size=1, max_size=2, unique_by=lambda kv: kv[0]))
+@example(bad=[("enforce_cone", "no")])
+@example(bad=[("tol", True)])
+@example(bad=[("alpha", 10**400)])  # an integer beyond the float range
+@example(bad=[("g", "sqrt(u-1)"), ("u_max", 0.0)])
+@example(bad=[("g", "1e400")])
 def test_solve_malformed_problem_field_is_bad_input(bad):
-    key, value = bad
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "p.json", Path(tmp) / "x"
-        path.write_text(json.dumps({**MANUFACTURED, key: value}))
+        path.write_text(json.dumps({**MANUFACTURED, **dict(bad)}))
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["solve", str(path), "--out", str(out)])
         assert code == 1, bad
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
         assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--uncertified"]], ids=["certified", "uncertified"])
+def test_solve_overflowing_literal_is_bad_input(extra, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1e400", "--lambda", "1",
+                 "--tau", "1", "--out", str(out), *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: invalid expression: number out of range at offset 0\n"
+    assert not out.exists()
 
 
 def test_solve_parses_expression_once(monkeypatch, tmp_path):

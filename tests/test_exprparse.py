@@ -97,6 +97,15 @@ def test_atan_and_abs():
 def test_scientific_notation():
     assert evaluate(parse("1e-3 + 2E2"), 0.0, 0.0) == pytest.approx(200.001)
     assert evaluate(parse("t^1e0"), 0.25, 0.0) == 0.25
+    assert evaluate(parse("1e-400 + 1.7e308"), 0.0, 0.0) == 1.7e308  # underflow is no error
+
+
+@pytest.mark.parametrize("text, offset", [("1e400", 0), ("atan(1e400)", 5), ("1/1e400", 2),
+                                          ("u + 2E+309*t", 4)])
+def test_overflowing_literal_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError, match="number out of range") as exc:
+        parse(text)
+    assert exc.value.position == offset
 
 
 def test_whitespace_insensitive():

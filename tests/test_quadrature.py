@@ -7,7 +7,6 @@ from fraksolve.kernel import GreenParams, green_weight_integral
 from fraksolve.quadrature import (
     MAX_POINTS,
     RuleConfigError,
-    _cached_jacobi01,
     _jacobi01,
     integrate_green,
     jacobi_rule,
@@ -84,8 +83,8 @@ def test_legendre_rule_polynomial_exactness():
 
 
 def test_cache_shares_read_only_rule():
-    first, _ = _cached_jacobi01(32, 0.0, -0.37)
-    ids = {id(_cached_jacobi01(32, 0.0, -0.37)[0]) for _ in range(50)}
+    first, _ = _jacobi01(32, 0.0, -0.37)
+    ids = {id(_jacobi01(32, 0.0, -0.37)[0]) for _ in range(50)}
     assert ids == {id(first)}  # one shared immutable rule
     with pytest.raises(ValueError):
         first[0] = 0.0  # read-only
