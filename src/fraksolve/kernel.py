@@ -59,12 +59,14 @@ def _kink_remainder(x: np.ndarray, c: float) -> np.ndarray:
     binomial series sum_{k>=2} C(c,k) (-x)^k, whose terms shrink at
     least like x^k for c in (2, 3].
     """
-    out = np.expm1(c * np.log1p(-x)) + c * x
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives R(1) = c - 1
+        log_1mx = np.log1p(-x)
+    out = np.expm1(c * log_1mx) + c * x
     coefs = [c * (c - 1.0) / 2.0]  # C(c,k) (-1)^k from k = 2 on
     for k in range(2, 1 + _SERIES_TERMS):
         coefs.append(coefs[-1] * (k - c) / (k + 1.0))
-    small = x < _SERIES_CUT
-    xs = x[small]
+    small = np.flatnonzero(x < _SERIES_CUT)
+    xs = x.take(small)
     acc = np.zeros_like(xs)
     for coef in reversed(coefs):  # Horner
         acc = acc * xs + coef
@@ -94,8 +96,9 @@ def green_eval(params: GreenParams, t, s):
     sf = np.broadcast_to(s_arr, shape).ravel()
     base = tf * (1.0 - sf)
     out = (sf - tf) + (a - 2.0) * (1.0 - tf) * sf  # both terms >= 0 for s >= t
-    below = sf < tf
-    ab, tb, sb = base[below], tf[below], sf[below]
+    # integer indices: one flatnonzero plus takes beats three mask gathers
+    below = np.flatnonzero(sf < tf)
+    ab, tb, sb = base.take(below), tf.take(below), sf.take(below)
     # rounding can put x a hair above 1 when s is within an ulp of t
     x = np.minimum(sb * (1.0 - tb) / ab, 1.0)
     out[below] = ab * _kink_remainder(x, a - 1.0)

@@ -77,14 +77,16 @@ class CertificateError(SolverError):
 
 
 class NonConvergenceError(SolverError):
-    """Iteration budget exhausted; carries the delta trace."""
+    """Iteration budget exhausted on one ladder level; carries the delta
+    trace and the grid size of that level."""
 
-    def __init__(self, trace: np.ndarray, tol: float):
+    def __init__(self, trace: np.ndarray, tol: float, grid: int):
         super().__init__(
-            f"no convergence after {len(trace)} sweeps "
+            f"no convergence on the {grid}-point level after {len(trace)} sweeps "
             f"(last delta {trace[-1]:.3e}, tol {tol:.3e})"
         )
         self.trace = np.asarray(trace)
+        self.grid = grid
 
 
 GFunction = Union[Expression, str, Callable]
@@ -504,9 +506,10 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
     more application fills the requested nodes, and ``trace`` and
     ``iterations`` count that level's sweeps.  A ``u0`` solve, or a
     smaller grid (from zero), is a one-level ladder.  The limit is the
-    unique fixed point either way.  An error on any level ends the solve;
-    NonConvergenceError carries the deltas of the level whose max_iters
-    sweeps did not reach tol.
+    unique fixed point either way.  ``max_iters`` is a budget per level,
+    not for the whole ladder.  An error on any level ends the solve;
+    NonConvergenceError carries the deltas and the grid size of the level
+    whose max_iters sweeps did not reach tol.
     """
     certificate = None
     if not uncertified:
@@ -524,7 +527,7 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
     while True:
         u, deltas = _picard(_operator(entry, p.params, grid, quad), g, u, p)
         if not deltas[-1] <= p.tol:
-            raise NonConvergenceError(deltas, p.tol)
+            raise NonConvergenceError(deltas, p.tol, grid)
         if grid == m:
             break
         served = grid > 33 and deltas[0] <= p.tol

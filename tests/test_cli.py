@@ -298,6 +298,21 @@ def test_solve_non_convergence_exit_code(tmp_path):
     assert (tmp_path / "x" / "trace.csv").exists()
 
 
+def test_solve_non_convergence_names_the_level(tmp_path, capsys):
+    # a 257-point solve climbs from the 33-point level, which spends the
+    # per-level budget of 3 sweeps first
+    code = main(
+        ["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1 + 0.1*ln(1+u)",
+         "--lambda", "0.5", "--tau", "1", "--grid", "257", "--quad", "128",
+         "--max-iters", "3", "--out", str(tmp_path / "x")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no convergence on the 33-point level after 3 sweeps")
+    _, rows = _read_csv(tmp_path / "x" / "trace.csv")
+    assert len(rows) == 3
+
+
 def test_solve_artifacts_deterministic(manufactured_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", manufactured_file, "--seed", "3", "--out", str(out1)]) == 0
@@ -331,6 +346,22 @@ def test_kernel_command(tmp_path, capsys):
     header, lrows = _read_csv(out / "L.csv")
     assert header == "t,L_closed,L_quad"
     assert np.max(np.abs(lrows[:, 1] - lrows[:, 2])) <= 1e-8
+
+
+def test_kernel_green_csv_matches_row_by_row_evaluation(tmp_path):
+    from fraksolve.cli import _write_csv
+    from fraksolve.kernel import GreenParams, green_eval
+
+    out = tmp_path / "k"
+    assert main(["kernel", "--alpha", "3.5", "--sigma", "0.5", "--grid", "33",
+                 "--out", str(out)]) == 0
+    p = GreenParams(3.5, 0.5)
+    ts = np.linspace(0.0, 1.0, 33)
+    rows = []
+    for t in ts:
+        rows.extend((t, s, g) for s, g in zip(ts, green_eval(p, np.full(33, t), ts)))
+    _write_csv(tmp_path / "ref.csv", "t,s,G", rows)
+    assert (out / "green.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_kernel_invalid_params(tmp_path):
@@ -369,6 +400,39 @@ def test_verify_deterministic_bytes(tmp_path):
     assert main(["verify", "--seed", "7", "--out", str(out1)]) == 0
     assert main(["verify", "--seed", "7", "--out", str(out2)]) == 0
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
+
+
+def test_kernel_positivity_metric_skips_boundary_samples(monkeypatch):
+    # t = 0 and s = 1 samples, where G = 0, are injected into the drawn
+    # streams; the metric must equal a mask-and-min over the interior
+    from fraksolve import cli
+    from fraksolve.kernel import GreenParams, green_eval
+
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class InjectingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def uniform(self, low, high, size):
+            x = self._rng.uniform(low, high, size)
+            if size == 100_000:  # the t stream, then the s stream
+                if drawn:
+                    x[7:14] = 1.0
+                else:
+                    x[:7] = 0.0
+                drawn.append(x)
+            return x
+
+    monkeypatch.setattr(cli.np.random, "default_rng", InjectingRng)
+    check = cli._kernel_checks(3.5, 0, 0.0)[0]
+    t, s = drawn
+    assert np.all(t[:7] == 0.0) and np.all(s[7:14] == 1.0)
+    inside = (t > 0) & (t < 1) & (s > 0) & (s < 1)
+    gmin = float(np.min(green_eval(GreenParams(3.5, 0.5), t[inside], s[inside])))
+    assert check.name == "kernel_positivity_alpha_3.5"
+    assert check.metric == -gmin and check.passed
 
 
 def test_verify_passes_on_seed_with_near_corner_kernel_sample():

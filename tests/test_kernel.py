@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,38 @@ def test_green_below_diagonal_matches_mpmath(alpha):
         ref = np.array([float(_green_mp(mpmath, alpha, ti, si)) for ti, si in zip(t, s)])
     assert np.all(s < t) and np.all(ref > 0.0)
     assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+def test_green_one_ulp_below_diagonal_is_quiet_and_at_the_limit():
+    # s an ulp below t rounds x to 1, where log1p(-x) = -inf; the value
+    # R(1) = c - 1 is still right, so no floating-point warning may leak
+    p = GreenParams(3.5, 0.5)
+    t, s = 0.002738500170148095, 0.0027385001701480944
+    assert s == np.nextafter(t, 0.0)
+    ts = np.random.default_rng(5).uniform(0.001, 0.999, size=2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = green_eval(p, [t], [s])[0]
+        green_eval(p, ts, np.nextafter(ts, 0.0))
+    limit = green_eval(p, t, t)
+    assert abs(got - limit) <= 1e-15 * limit
+
+
+@pytest.mark.parametrize("alpha", (3.01, 3.3, 3.5, 4.0))
+def test_green_broadcast_matches_scalar_calls(alpha):
+    # the (m, 1) x (m, 2n) shapes split_panels passes, with rows that
+    # cross the diagonal, the boundary and points an ulp off the diagonal
+    p = GreenParams(alpha, 0.5)
+    rng = np.random.default_rng(int(alpha * 100))
+    t = rng.uniform(0.0, 1.0, size=(9, 1))
+    t[0, 0], t[-1, 0] = 0.0, 1.0
+    s = rng.uniform(0.0, 1.0, size=(9, 16))
+    s[:, 0], s[:, 1], s[:, 2] = t[:, 0], np.nextafter(t[:, 0], 0.0), 1.0
+    got = green_eval(p, t, s)
+    assert got.shape == (9, 16)
+    ref = np.array([[green_eval(p, float(ti), float(sij)) for sij in row]
+                    for ti, row in zip(t[:, 0], s)])
+    assert np.array_equal(got, ref)
 
 
 def test_green_domain_errors():

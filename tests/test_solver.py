@@ -313,6 +313,8 @@ def test_ladder_non_convergence_carries_the_level_deltas():
         solve(replace(p, grid_points=33, quad_points=48))
     assert len(ladder.value.trace) == 3
     assert np.array_equal(ladder.value.trace, level.value.trace)
+    assert ladder.value.grid == level.value.grid == 33
+    assert "on the 33-point level" in str(ladder.value)
 
 
 @pytest.mark.parametrize("g, error", [("sqrt(u-1)", EvalDomainError),
