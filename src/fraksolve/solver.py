@@ -599,9 +599,14 @@ def check_positivity(p: ProblemSpec, u: SolutionGrid, seed: int = 0) -> Positivi
 
 @dataclass
 class ResidualProfile:
+    """Residual per checkpoint, and ``floor``, the roundoff the
+    checkpoint's GL sum can carry: eps * sum_{j<terms} |c_j| * h^(-alpha)
+    * max|u|.  A residual near its floor says nothing about the solution."""
+
     checkpoints: np.ndarray
     residuals: np.ndarray
     h: float
+    floor: np.ndarray
 
     def max(self) -> float:
         return float(np.max(self.residuals))
@@ -618,6 +623,60 @@ def _gl_coeffs(alpha: float, count: int) -> np.ndarray:
     of the ratios (j - 1 - alpha) / j."""
     j = np.arange(1.0, count)
     return np.concatenate(([1.0], np.cumprod((j - 1.0 - alpha) / j)))
+
+
+@dataclass(frozen=True)
+class _ResidualPlan:
+    """The u-independent part of the residual oracle.
+
+    ``terms`` counts each checkpoint's stencil and ``ends`` is its running
+    total; ``j`` is the coefficient index of every stencil entry,
+    ``points`` the distinct stencil points and checkpoints, and
+    ``points[where]`` the stencil entries followed by the checkpoints.
+    ``recip`` is ``_bary_reciprocals`` at ``points`` when it fits one
+    ``_INTERP_BLOCK``, else None.
+    """
+
+    terms: np.ndarray
+    ends: np.ndarray
+    j: np.ndarray
+    points: np.ndarray
+    where: np.ndarray
+    recip: tuple[np.ndarray, np.ndarray] | None
+
+
+@functools.lru_cache(maxsize=2)  # sweep_cold alternates two grids
+def _residual_plan(nodes: bytes, h: float, checkpoints: bytes, shift: int) -> _ResidualPlan:
+    """The stencil plan for u on ``nodes``; arguments are raw float64 bytes
+    so the arrays can key the cache."""
+    nodes_arr = np.frombuffer(nodes)
+    t = np.frombuffer(checkpoints)
+    terms = np.floor(t / h + 1e-9).astype(int) + 1 + shift
+    ends = np.cumsum(terms)
+    j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
+    stencil = np.repeat(t, terms) - h * (j - shift)
+    # neighbouring checkpoints' stencils share most of their points;
+    # each distinct point is interpolated once
+    points, where = np.unique(np.concatenate([np.clip(stencil, 0.0, 1.0), t]),
+                              return_inverse=True)
+    recip = None
+    if points.size <= _INTERP_BLOCK // nodes_arr.size:
+        recip = _bary_reciprocals(nodes_arr, _bary_weights(nodes_arr.size), points)
+    for arr in (terms, ends, j, points, where, *(recip or ())):
+        arr.flags.writeable = False  # every later call shares them
+    return _ResidualPlan(terms, ends, j, points, where, recip)
+
+
+def _checkpoint_array(checkpoints) -> np.ndarray:
+    """checkpoints as a float array, or ValueError unless they form a
+    non-empty 1-d array of finite numbers."""
+    try:
+        arr = np.asarray(checkpoints, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ValueError("checkpoints must be a non-empty 1-d array of finite numbers")
+    return arr
 
 
 def grunwald_letnikov_residual(
@@ -637,35 +696,40 @@ def grunwald_letnikov_residual(
 
     All checkpoints' stencils are evaluated together: one interpolation
     of u over the distinct stencil points and checkpoints, one vector call
-    of g.
+    of g.  The stencil plan (the points, and the barycentric reciprocals
+    at them) depends on u's nodes, h and the checkpoints only, so it is
+    built once per such triple; the last two plans are kept, and a plan
+    keeps its reciprocals only when they fit 16 MB (``_INTERP_BLOCK``),
+    else u is interpolated in blocks on every call.
     """
     check_residual_step(h)
     a, sg = p.params.alpha, p.params.sigma
     shift = int(round(a / 2.0))
     if checkpoints is None:
         checkpoints = np.linspace(0.2, 0.8, 13)
-    checkpoints = np.asarray(checkpoints, dtype=float)
+    checkpoints = _checkpoint_array(checkpoints)
     if np.any((checkpoints < 0.2 - 1e-12) | (checkpoints > 0.8 + 1e-12)):
         raise ValueError("checkpoints must lie in [0.2, 0.8]")
     if checkpoints.max() + shift * h > 1.0:
         raise ValueError("shifted sample t + shift*h exceeds 1")
     g = p.g_callable()
-    terms = np.floor(checkpoints / h + 1e-9).astype(int) + 1 + shift
-    ends = np.cumsum(terms)
-    j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
-    stencil = np.repeat(checkpoints, terms) - h * (j - shift)
-    # neighbouring checkpoints' stencils share most of their points;
-    # each distinct point is interpolated once
-    points, where = np.unique(
-        np.concatenate([np.clip(stencil, 0.0, 1.0), checkpoints]), return_inverse=True
-    )
-    uvals = u.interpolate(points)[where]
-    u_stencil, u_t = uvals[:stencil.size], uvals[stencil.size:]
+    plan = _residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes(), shift)
+    if plan.recip is None:
+        uvals = u.interpolate(plan.points)[plan.where]
+    else:
+        mat, rowsum = plan.recip
+        uvals = ((mat @ u.values) / rowsum)[plan.where]
+    n_stencil = plan.j.size
+    u_stencil, u_t = uvals[:n_stencil], uvals[n_stencil:]
     # Each stencil's sum cancels from terms of size |u| down to about
     # h^alpha |D^alpha u| within its first few terms.  A running sum in
     # stencil order rounds against those small partial sums; blocked sums
     # such as np.dot or pairwise reduction round several times worse.
-    running = np.cumsum(_gl_coeffs(a, int(terms.max()))[j] * u_stencil)
-    gl = h ** (-a) * np.diff(running[ends - 1], prepend=0.0)
+    c = _gl_coeffs(a, int(plan.terms.max()))
+    running = np.cumsum(c[plan.j] * u_stencil)
+    scale = h ** (-a)
+    gl = scale * np.diff(running[plan.ends - 1], prepend=0.0)
     rhs = checkpoints ** (-sg) * np.asarray(g(checkpoints, u_t), dtype=float)
-    return ResidualProfile(checkpoints, np.abs(gl - rhs), h)
+    floor = (np.finfo(float).eps * np.cumsum(np.abs(c))[plan.terms - 1]
+             * scale * np.max(np.abs(u.values)))
+    return ResidualProfile(checkpoints, np.abs(gl - rhs), h, floor)

@@ -561,6 +561,7 @@ def test_residual_matches_per_checkpoint_loop(g, h):
             prof = grunwald_letnikov_residual(p, u, h, checkpoints=checkpoints)
             ref, floor = _residual_loop(p, u, h, checkpoints)
             assert np.all(np.abs(prof.residuals - ref) <= floor)
+            np.testing.assert_allclose(prof.floor, floor, rtol=1e-12)
 
 
 def test_residual_step_bounds():
@@ -573,6 +574,95 @@ def test_residual_step_bounds():
     with pytest.raises(ValueError):
         grunwald_letnikov_residual(p, u, 1e-3, checkpoints=np.array([0.05]))
 
+
+
+@pytest.mark.parametrize("checkpoints", [[0.5, np.nan], [], [[0.3, 0.4]]])
+def test_residual_rejects_malformed_checkpoints(checkpoints):
+    p = spec_for("0")
+    with pytest.raises(ValueError, match="non-empty 1-d array of finite numbers"):
+        grunwald_letnikov_residual(p, SolutionGrid.zeros(33), 1e-3, checkpoints=checkpoints)
+
+
+# --- residual stencil plan --------------------------------------------------
+
+
+def _residual_uncached(p, u, h, checkpoints):
+    """The oracle without a plan: u.interpolate over the distinct stencil
+    points, then the same sums in the same order."""
+    a, sg = p.params.alpha, p.params.sigma
+    shift = int(round(a / 2.0))
+    terms = np.floor(checkpoints / h + 1e-9).astype(int) + 1 + shift
+    ends = np.cumsum(terms)
+    j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
+    stencil = np.repeat(checkpoints, terms) - h * (j - shift)
+    points, where = np.unique(
+        np.concatenate([np.clip(stencil, 0.0, 1.0), checkpoints]), return_inverse=True
+    )
+    uvals = u.interpolate(points)[where]
+    c = solver_module._gl_coeffs(a, int(terms.max()))
+    running = np.cumsum(c[j] * uvals[:stencil.size])
+    gl = h ** (-a) * np.diff(running[ends - 1], prepend=0.0)
+    g = np.asarray(p.g_callable()(checkpoints, uvals[stencil.size:]), dtype=float)
+    return np.abs(gl - checkpoints ** (-sg) * g)
+
+
+def _checkpoint_sets(h):
+    off_lattice = np.array([0.2 + 1e-7, 0.3141592653589793, 0.5 + h / 3.0, 0.8 - 0.71 * h])
+    return np.linspace(0.2, 0.8, 13), off_lattice
+
+
+RESIDUAL_SPEC = spec_for("1 + 0.1*ln(1+u)")
+
+
+def _plan_for(u, h, checkpoints):
+    return solver_module._residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes(), 2)
+
+
+@pytest.mark.parametrize("h", [1e-3, 5e-4])
+@pytest.mark.parametrize("m", [33, 65, 257])
+def test_residual_plan_matches_uncached_bit_for_bit(m, h):
+    u = SolutionGrid.from_function(u_star, m)
+    for checkpoints in _checkpoint_sets(h):
+        prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h, checkpoints=checkpoints)
+        assert _plan_for(u, h, checkpoints).recip is not None
+        assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h, checkpoints))
+
+
+def test_residual_plan_reused_for_new_values_not_for_new_nodes():
+    plan = solver_module._residual_plan
+    plan.cache_clear()
+    h, checkpoints = 1e-3, np.linspace(0.2, 0.8, 13)
+    u1 = SolutionGrid.from_function(u_star, 65)
+    grunwald_letnikov_residual(RESIDUAL_SPEC, u1, h)
+    u2 = SolutionGrid(u1.nodes, np.sin(np.pi * u1.nodes) ** 2)
+    prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u2, h)
+    assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 1)
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u2, h, checkpoints))
+    # same length, other nodes: a plan of its own
+    u3 = SolutionGrid(np.linspace(0.0, 1.0, 65), u2.values)
+    prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u3, h)
+    assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 2)
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u3, h, checkpoints))
+
+
+def test_residual_plan_without_reciprocals_past_one_block():
+    h, checkpoints = 1e-4, np.linspace(0.2, 0.8, 13)
+    u = SolutionGrid.from_function(u_star, 257)
+    prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h)
+    plan = _plan_for(u, h, checkpoints)
+    assert plan.recip is None
+    assert plan.points.size * 257 > solver_module._INTERP_BLOCK
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h, checkpoints))
+
+
+def test_residual_plan_cache_holds_two_grids():
+    plan = solver_module._residual_plan
+    plan.cache_clear()
+    assert plan.cache_info().maxsize == 2
+    grids = {m: SolutionGrid.from_function(u_star, m) for m in (33, 65)}
+    for m in (33, 65, 33):
+        grunwald_letnikov_residual(RESIDUAL_SPEC, grids[m], 1e-3)
+    assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 2)
 
 # --- integrate_green agreement (vectorized path vs scalar path) -------------
 
