@@ -28,6 +28,7 @@ from .kernel import (
 from .quadrature import MAX_POINTS, integrate_green, jacobi_rule, panel_sums, split_panels
 from .solver import (
     G_CATALOG_IDS,
+    MAX_GRID,
     ConeViolationError,
     NonConvergenceError,
     ProblemSpec,
@@ -248,8 +249,8 @@ def cmd_kernel(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     m = args.grid
-    if m < 2:
-        print("error: --grid must be at least 2", file=sys.stderr)
+    if not 2 <= m <= MAX_GRID:
+        print(f"error: --grid must be in [2, {MAX_GRID}]", file=sys.stderr)
         return EXIT_BAD_INPUT
     if not 1 <= args.quad <= MAX_POINTS:
         print(f"error: --quad must be in [1, {MAX_POINTS}]", file=sys.stderr)
@@ -275,20 +276,14 @@ def cmd_kernel(args) -> int:
 # verification suite
 
 
-class _Check:
-    def __init__(self, name: str, metric: float, tolerance: float, passed: bool | None = None):
-        self.name = name
-        self.metric = float(metric)
-        self.tolerance = float(tolerance)
-        self.passed = bool(metric <= tolerance) if passed is None else passed
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+def _check(name: str, metric: float, tolerance: float, passed: bool | None = None) -> dict:
+    """One verify.json entry; passes when metric <= tolerance unless told."""
+    return {
+        "name": name,
+        "metric": float(metric),
+        "tolerance": float(tolerance),
+        "passed": bool(metric <= tolerance) if passed is None else passed,
+    }
 
 
 def _perturbed_green(params: GreenParams, perturb: float):
@@ -304,7 +299,7 @@ def _perturbed_green(params: GreenParams, perturb: float):
     return geval
 
 
-def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[_Check]:
+def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[dict]:
     params = GreenParams(alpha, 0.5)  # G does not depend on sigma
     geval = _perturbed_green(params, perturb)
     rng = np.random.default_rng([seed, int(alpha * 100)])
@@ -314,18 +309,18 @@ def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[_Check]:
     # G on every sample, reduced over the interior: no masked copies
     gmin = float(np.min(geval(t, s), where=interior, initial=np.inf))
     checks = [
-        _Check(f"kernel_positivity_alpha_{alpha:g}", -gmin, 0.0, passed=gmin > 0.0)
+        _check(f"kernel_positivity_alpha_{alpha:g}", -gmin, 0.0, passed=gmin > 0.0)
     ]
     ss = np.linspace(0.0, 1.0, 257)
     edge = max(
         float(np.max(np.abs(geval(np.zeros_like(ss), ss)))),
         float(np.max(np.abs(geval(np.ones_like(ss), ss)))),
     )
-    checks.append(_Check(f"kernel_boundary_zero_alpha_{alpha:g}", edge, 0.0, passed=edge == 0.0))
+    checks.append(_check(f"kernel_boundary_zero_alpha_{alpha:g}", edge, 0.0, passed=edge == 0.0))
     tk = rng.uniform(0.05, 0.95, size=64)
     eps = 1e-6
     jump = float(np.max(np.abs(geval(tk, tk - eps) - geval(tk, tk + eps))))
-    checks.append(_Check(f"kernel_kink_continuity_alpha_{alpha:g}", jump, 1e-4))
+    checks.append(_check(f"kernel_kink_continuity_alpha_{alpha:g}", jump, 1e-4))
     return checks
 
 
@@ -333,21 +328,21 @@ def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[_Check]:
 _COMBO_QUAD = 48
 
 
-def _combo_checks(alpha: float, sigma: float) -> list[_Check]:
+def _combo_checks(alpha: float, sigma: float) -> list[dict]:
     params = GreenParams(alpha, sigma)
     tag = f"alpha_{alpha:g}_sigma_{sigma:g}"
     one = lambda s: np.ones_like(np.asarray(s, dtype=float))
     ts = np.linspace(0.0, 1.0, 34)[1:-1]  # 32 interior points
     rule = split_panels(params, ts, _COMBO_QUAD)
     consist = np.max(np.abs(panel_sums(rule, one) - green_weight_integral(params, ts)))
-    checks = [_Check(f"weight_integral_consistency_{tag}", consist, 1e-8)]
+    checks = [_check(f"weight_integral_consistency_{tag}", consist, 1e-8)]
     ends = max(abs(green_weight_integral(params, 0.0)), abs(green_weight_integral(params, 1.0)))
-    checks.append(_Check(f"weight_integral_boundary_{tag}", ends, 1e-12))
+    checks.append(_check(f"weight_integral_boundary_{tag}", ends, 1e-12))
     fcos = lambda s: np.cos(np.asarray(s, dtype=float))
     split = np.max(
         np.abs(panel_sums(rule, fcos) - panel_sums(split_panels(params, ts, 2 * _COMBO_QUAD), fcos))
     )
-    checks.append(_Check(f"split_consistency_{tag}", split, 1e-9))
+    checks.append(_check(f"split_consistency_{tag}", split, 1e-9))
     # |H(t) - H(0)| dominated by the closed bound, for sampled bounded forcings
     worst = -math.inf
     tb = ts[::4]
@@ -357,11 +352,11 @@ def _combo_checks(alpha: float, sigma: float) -> list[_Check]:
         h_t = np.abs(panel_sums(rule_b, f_reg))
         bound = [origin_continuity_bound(params, float(t), m_bound) for t in tb]
         worst = max(worst, float(np.max(h_t - bound)))
-    checks.append(_Check(f"origin_bound_domination_{tag}", worst, 1e-12))
+    checks.append(_check(f"origin_bound_domination_{tag}", worst, 1e-12))
     return checks
 
 
-def _beta_identity_checks(seed: int) -> list[_Check]:
+def _beta_identity_checks(seed: int) -> list[dict]:
     rng = np.random.default_rng([seed, 7])
     # sigma capped at 0.99: the identity residual scales like
     # Gamma(1-sigma) * eps, so closer to 1 an absolute 1e-12 stops being
@@ -374,17 +369,17 @@ def _beta_identity_checks(seed: int) -> list[_Check]:
         e1 = max(e1, abs(beta(1.0 - s, a) - (a - 1.0) / (a - s) * b_base))
         e2 = max(e2, abs(beta(2.0 - s, a - 1.0) - (1.0 - s) / (a - s) * b_base))
     checks = [
-        _Check("beta_identity_order_raise", e1, 1e-12),
-        _Check("beta_identity_first_arg_shift", e2, 1e-12),
+        _check("beta_identity_order_raise", e1, 1e-12),
+        _check("beta_identity_first_arg_shift", e2, 1e-12),
     ]
     x = rng.uniform(0.05, 20.0, size=500)
     y = rng.uniform(0.05, 20.0, size=500)
     sym = max(abs(beta(a, b) - beta(b, a)) / beta(a, b) for a, b in zip(x.tolist(), y.tolist()))
-    checks.append(_Check("beta_symmetry", sym, 1e-13))
+    checks.append(_check("beta_symmetry", sym, 1e-13))
     return checks
 
 
-def _quadrature_checks() -> list[_Check]:
+def _quadrature_checks() -> list[dict]:
     checks = []
     for sigma in SWEEP_SIGMAS:
         worst = 0.0
@@ -393,27 +388,27 @@ def _quadrature_checks() -> list[_Check]:
             ks = np.arange(0, 2 * n)
             moments = np.array([float(np.dot(rule.weights, rule.nodes**k)) for k in ks])
             worst = max(worst, float(np.max(np.abs(moments - 1.0 / (ks + 1 - sigma)))))
-        checks.append(_Check(f"jacobi_moments_sigma_{sigma:g}", worst, 1e-12))
+        checks.append(_check(f"jacobi_moments_sigma_{sigma:g}", worst, 1e-12))
     return checks
 
 
-def _contraction_checks() -> list[_Check]:
+def _contraction_checks() -> list[dict]:
     checks = []
     ok = all(verify_control_class(control_catalog(cid)).passed for cid in CATALOG_IDS)
-    checks.append(_Check("control_catalog_membership", 0.0 if ok else 1.0, 0.0, passed=ok))
+    checks.append(_check("control_catalog_membership", 0.0 if ok else 1.0, 0.0, passed=ok))
     identity_rep = verify_wardowski(
         [0.0, 1.0], lambda x: x, lambda x, y: abs(x - y), tau=0.5, phi=control_catalog("neg_inv_sqrt")
     )
     flagged = not identity_rep.passed
     checks.append(
-        _Check("wardowski_flags_identity_map", 0.0 if flagged else 1.0, 0.0, passed=flagged)
+        _check("wardowski_flags_identity_map", 0.0 if flagged else 1.0, 0.0, passed=flagged)
     )
     return checks
 
 
 def run_verify_suite(seed: int = 0, perturb_kernel: float = 0.0) -> dict:
     """Run every invariant check across the built-in parameter sweep."""
-    checks: list[_Check] = []
+    checks: list[dict] = []
     for alpha in SWEEP_ALPHAS:
         checks.extend(_kernel_checks(alpha, seed, perturb_kernel))
     for alpha in SWEEP_ALPHAS:
@@ -425,14 +420,17 @@ def run_verify_suite(seed: int = 0, perturb_kernel: float = 0.0) -> dict:
     return {
         "seed": seed,
         "perturb_kernel": perturb_kernel,
-        "checks": [c.to_dict() for c in checks],
-        "passed": all(c.passed for c in checks),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
     }
 
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if not math.isfinite(args.perturb_kernel):
+        print(f"error: --perturb-kernel must be finite, got {args.perturb_kernel}", file=sys.stderr)
         return EXIT_BAD_INPUT
     report = run_verify_suite(seed=args.seed, perturb_kernel=args.perturb_kernel)
     out = Path(args.out)

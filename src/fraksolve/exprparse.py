@@ -315,12 +315,17 @@ def _apply_fn(fn: str, vals):
 def evaluate(expr: Expression, t, u):
     """Evaluate at (t, u); scalars or broadcastable numpy arrays.
 
+    Two scalars give a float; otherwise the result is a float array of
+    the broadcast shape of t and u, whatever the expression reads.
     Out-of-domain intermediates (ln of a non-positive value, division by
     zero, overflow to infinity) raise EvalDomainError naming the
     operation and the offending arguments.
     """
     with np.errstate(all="ignore"):
         out = _eval(expr, t, u)
-    if np.ndim(t) == 0 and np.ndim(u) == 0:
+    shape = np.broadcast_shapes(np.shape(t), np.shape(u))
+    if not shape:
         return float(out)
-    return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(np.shape(t), np.shape(u))).copy() if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+    out = np.asarray(out, dtype=float)
+    # a constant, or a lone t or u, does not span the broadcast shape
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()

@@ -2,15 +2,14 @@
 
 The kernel turns D^alpha u = h with u(0)=u(1)=u'(0)=u'(1)=0 into
 u(t) = integral of G(t,s) h(s) ds.  This module evaluates G, the closed
-form of its s^(-sigma)-weighted integral, the maximum of that integral
-over t (the constant gating the contraction condition), and the explicit
-bound on |H(t) - H(0)| for bounded regularized forcings.
+form of its s^(-sigma)-weighted integral L(t), the maximum N of L over t
+(the constant gating the contraction condition) from the closed form of
+L', and the explicit bound on |H(t) - H(0)| for bounded regularized
+forcings.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +23,6 @@ __all__ = [
     "green_weight_integral_max",
     "origin_continuity_bound",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# uniform scan intervals, and the bracket width that ends the refinement,
-# of green_weight_integral_max
-_COARSE, _WIDTH_TOL = 1024, 1e-10
-
 
 @dataclass(frozen=True)
 class GreenParams:
@@ -142,35 +135,28 @@ def green_weight_integral(params: GreenParams, t):
     return out
 
 
-@functools.lru_cache(maxsize=4)  # every solve's certificate asks for it
 def green_weight_integral_max(params: GreenParams) -> tuple[float, float]:
     """Maximum of the weighted kernel integral over t in [0, 1].
 
-    Returns (value, argmax).  Coarse scan on a uniform grid, then
-    golden-section refinement of the bracketing interval down to
-    ``_WIDTH_TOL``.  Bracketed search; no derivative model is assumed.
+    Returns (value, argmax).  L'(t) = pre * t^(alpha-3) * q(t) with
+    q(t) = c_hi (alpha-sigma) t^(2-sigma) + c_mid (alpha-1) t + c_lo (alpha-2).
+    q(0) = c_lo (alpha-2) > 0, q(1) = 0 (the coefficients telescope) and
+    q'' > 0 on (0, 1), so q has exactly one root t* in (0, 1), where L
+    peaks.  Newton's method from t = 0 climbs to t* monotonically; it
+    stops once a step is no longer positive beyond 1e-15.  The bound is
+    absolute: near t* rounding noise in q keeps a relative one from firing
+    for sigma near 1.
     """
-    ts = np.linspace(0.0, 1.0, _COARSE + 1)
-    vals = green_weight_integral(params, ts)
-    k = int(np.argmax(vals))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, _COARSE)]
-
-    f = lambda x: green_weight_integral(params, x)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > _WIDTH_TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    t_star = 0.5 * (lo + hi)
-    return float(f(t_star)), float(t_star)
+    a, sg = params.alpha, params.sigma
+    _, c_hi, c_mid, c_lo = _weight_integral_coeffs(params)
+    k2, k1, k0 = c_hi * (a - sg), c_mid * (a - 1.0), c_lo * (a - 2.0)
+    t = 0.0
+    while True:
+        dt = -(k2 * t ** (2.0 - sg) + k1 * t + k0) / (k2 * (2.0 - sg) * t ** (1.0 - sg) + k1)
+        if not dt > 1e-15:
+            break
+        t += dt
+    return green_weight_integral(params, t), t
 
 
 def origin_continuity_bound(params: GreenParams, t: float, m: float) -> float:
@@ -178,15 +164,13 @@ def origin_continuity_bound(params: GreenParams, t: float, m: float) -> float:
     regularized form is bounded by m in absolute value.
 
     Equals m*(alpha-1)*t^(alpha-2)*B(1-sigma, alpha-1)/Gamma(alpha)
-         + m*t^(alpha-sigma)*B(1-sigma, alpha)/Gamma(alpha).
+         + m*t^(alpha-sigma)*B(1-sigma, alpha)/Gamma(alpha),
+    evaluated with B(1-sigma, alpha)/Gamma(alpha) = c_hi * pre.
     """
     a, sg = params.alpha, params.sigma
     if not 0.0 <= t <= 1.0:
         raise ValueError("origin_continuity_bound: t must lie in [0, 1]")
     if m < 0.0:
         raise ValueError(f"origin_continuity_bound: m must be >= 0, got {m!r}")
-    ga = gamma(a)
-    return (
-        m * (a - 1.0) * t ** (a - 2.0) * beta(1.0 - sg, a - 1.0) / ga
-        + m * t ** (a - sg) * beta(1.0 - sg, a) / ga
-    )
+    pre, c_hi, _, _ = _weight_integral_coeffs(params)
+    return m * pre * ((a - 1.0) * t ** (a - 2.0) + c_hi * t ** (a - sg))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,17 @@ def test_kernel_bad_quad_writes_nothing(quad, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["1", "1025"])
+def test_kernel_grid_out_of_range_writes_nothing(grid, tmp_path, capsys):
+    # 1025 is one past MAX_GRID; the m x m dump must not be attempted
+    out = tmp_path / "k"
+    assert main(["kernel", "--alpha", "3.5", "--sigma", "0.5", "--grid", grid,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid must be in [2, 1024]") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_default_passes(tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 0
@@ -393,6 +405,23 @@ def test_verify_fault_injection_fails(tmp_path):
     report = json.loads((out / "verify.json").read_text())
     failing = {c["name"] for c in report["checks"] if not c["passed"]}
     assert any("positivity" in name or "consistency" in name or "boundary" in name for name in failing)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_non_finite_perturbation_writes_nothing(value, tmp_path, capsys):
+    out = tmp_path / "v"
+    assert main(["verify", "--perturb-kernel", value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --perturb-kernel must be finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_huge_finite_perturbation_is_quiet(tmp_path):
+    out = tmp_path / "v"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--perturb-kernel", "1e308", "--out", str(out)]) == 4
+    json.loads((out / "verify.json").read_text(), parse_constant=pytest.fail)
 
 
 def test_verify_deterministic_bytes(tmp_path):
@@ -431,8 +460,8 @@ def test_kernel_positivity_metric_skips_boundary_samples(monkeypatch):
     assert np.all(t[:7] == 0.0) and np.all(s[7:14] == 1.0)
     inside = (t > 0) & (t < 1) & (s > 0) & (s < 1)
     gmin = float(np.min(green_eval(GreenParams(3.5, 0.5), t[inside], s[inside])))
-    assert check.name == "kernel_positivity_alpha_3.5"
-    assert check.metric == -gmin and check.passed
+    assert check["name"] == "kernel_positivity_alpha_3.5"
+    assert check["metric"] == -gmin and check["passed"]
 
 
 def test_verify_passes_on_seed_with_near_corner_kernel_sample():

@@ -76,6 +76,13 @@ def test_array_evaluation_broadcasts():
     out = evaluate(parse("3"), ts, us)
     assert out.shape == (5,)
     assert np.all(out == 3.0)
+    # a lone variable takes the broadcast shape of both inputs too
+    tc, ur = np.arange(4.0).reshape(4, 1), np.arange(3.0).reshape(1, 3)
+    for text, want in (("t", np.broadcast_to(tc, (4, 3))), ("u", np.broadcast_to(ur, (4, 3))),
+                       ("2", np.full((4, 3), 2.0)), ("t+u", tc + ur)):
+        out = evaluate(parse(text), tc, ur)
+        assert out.shape == (4, 3)
+        assert np.array_equal(out, want)
 
 
 def test_array_domain_error():
