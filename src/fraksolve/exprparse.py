@@ -1,7 +1,10 @@
 """Arithmetic expressions in the variables t and u.
 
 Recursive-descent parser with reported error offsets, and a numpy-aware
-evaluator that refuses to produce non-finite values silently.
+evaluator that refuses to produce non-finite values silently: a fast walk
+of numpy calls under floating-point traps, and a checked walk of the same
+calls that names the offending operation, run only when a trap fires or
+an input or the result is not finite.
 
 Grammar (whitespace-insensitive)::
 
@@ -226,17 +229,15 @@ def parse(text: str) -> Expression:
 
 
 def _fmt_args(*vals) -> str:
-    return ", ".join(np.format_float_positional(float(v), trim="-") if np.ndim(v) == 0
-                     else f"array(min={np.min(v):.6g})" for v in vals)
+    return ", ".join(np.format_float_positional(v, trim="-") for v in vals)
 
 
 def _first_bad(mask, *vals):
-    """Representative offending argument values where mask is False."""
-    idx = np.argmin(mask)  # first False in flat order
-    return tuple(
-        float(np.broadcast_to(v, np.shape(mask)).ravel()[idx]) if np.ndim(mask) else float(v)
-        for v in vals
-    )
+    """Representative offending argument values where mask is False; the
+    mask may span fewer axes than the operands (a divisor's does)."""
+    mask, *vals = np.broadcast_arrays(mask, *vals)
+    at = np.unravel_index(np.argmin(mask), mask.shape)  # first False in flat order
+    return tuple(float(v[at]) for v in vals)
 
 
 def _require(mask, what: str, *vals) -> None:
@@ -249,9 +250,34 @@ def _require(mask, what: str, *vals) -> None:
 def _finite(result, what: str, *vals):
     ok = np.isfinite(result)
     if not np.all(ok):
-        bad = _first_bad(np.asarray(ok), *vals)
+        bad = _first_bad(ok, *vals)
         raise EvalDomainError(f"non-finite result from {what}({_fmt_args(*bad)})")
     return result
+
+
+def _power(a, b):
+    return np.power(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+# the numpy call of every operator and function, as the checked walk makes it
+_FAST = {**_BINARY, "^": _power, "pow": _power, "sqrt": np.sqrt, "ln": np.log,
+         "exp": np.exp, "atan": np.arctan, "abs": np.abs}
+
+
+def _eval_fast(node: Expression, t, u):
+    """_eval without its checks: the same numpy calls in the same order."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return t if node.name == "t" else u
+    if isinstance(node, Neg):
+        return -_eval_fast(node.operand, t, u)
+    if isinstance(node, BinOp):
+        return _FAST[node.op](_eval_fast(node.left, t, u), _eval_fast(node.right, t, u))
+    if isinstance(node, Call):
+        return _FAST[node.fn](*[_eval_fast(arg, t, u) for arg in node.args])
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _eval(node: Expression, t, u):
@@ -264,16 +290,12 @@ def _eval(node: Expression, t, u):
     if isinstance(node, BinOp):
         a = _eval(node.left, t, u)
         b = _eval(node.right, t, u)
-        if node.op == "+":
-            return _finite(np.add(a, b), "add", a, b)
-        if node.op == "-":
-            return _finite(np.subtract(a, b), "subtract", a, b)
-        if node.op == "*":
-            return _finite(np.multiply(a, b), "multiply", a, b)
+        if node.op == "^":
+            return _pow(a, b)
         if node.op == "/":
             _require(np.asarray(b) != 0.0, "division by zero: divide", a, b)
-            return _finite(np.divide(a, b), "divide", a, b)
-        return _pow(a, b)
+        ufunc = _BINARY[node.op]
+        return _finite(ufunc(a, b), ufunc.__name__, a, b)
     if isinstance(node, Call):
         vals = [_eval(arg, t, u) for arg in node.args]
         return _apply_fn(node.fn, vals)
@@ -289,27 +311,16 @@ def _pow(a, b):
 
 
 def _apply_fn(fn: str, vals):
-    if fn == "sqrt":
-        (a,) = vals
-        _require(np.asarray(a) >= 0.0, "sqrt of negative argument: sqrt", a)
-        return np.sqrt(a)
-    if fn == "ln":
-        (a,) = vals
-        _require(np.asarray(a) > 0.0, "ln of non-positive argument: ln", a)
-        return np.log(a)
-    if fn == "exp":
-        (a,) = vals
-        return _finite(np.exp(a), "exp", a)
-    if fn == "atan":
-        (a,) = vals
-        return np.arctan(a)
-    if fn == "abs":
-        (a,) = vals
-        return np.abs(a)
     if fn == "pow":
-        a, b = vals
-        return _pow(a, b)
-    raise TypeError(f"unknown function {fn!r}")
+        return _pow(*vals)
+    (a,) = vals
+    if fn == "sqrt":
+        _require(np.asarray(a) >= 0.0, "sqrt of negative argument: sqrt", a)
+    elif fn == "ln":
+        _require(np.asarray(a) > 0.0, "ln of non-positive argument: ln", a)
+    elif fn == "exp":
+        return _finite(np.exp(a), "exp", a)
+    return _FAST[fn](a)  # sqrt, ln, atan and abs need no check of the result
 
 
 def evaluate(expr: Expression, t, u):
@@ -320,9 +331,22 @@ def evaluate(expr: Expression, t, u):
     Out-of-domain intermediates (ln of a non-positive value, division by
     zero, overflow to infinity) raise EvalDomainError naming the
     operation and the offending arguments.
+
+    The numpy calls run once without checks, trapping division by zero,
+    overflow and invalid operations (underflow to 0 is no error).  If a
+    trap fires, or t, u or the result is not all finite, the checked walk
+    runs and its value or EvalDomainError is returned as is.  Non-finite
+    inputs need it: IEEE flags nothing for inf/0, and x^0 = 1 hides it.
     """
-    with np.errstate(all="ignore"):
-        out = _eval(expr, t, u)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            out = _eval_fast(expr, t, u)
+        clean = np.isfinite(out).all() and np.isfinite(t).all() and np.isfinite(u).all()
+    except FloatingPointError:
+        clean = False
+    if not clean:
+        with np.errstate(all="ignore"):
+            out = _eval(expr, t, u)
     shape = np.broadcast_shapes(np.shape(t), np.shape(u))
     if not shape:
         return float(out)

@@ -172,22 +172,48 @@ def test_solve_integral_float_size_accepted(tmp_path):
     assert len(rows) == 17
 
 
+# the whole stderr line of each bad g; the sampled offenders follow from
+# the default seed
+BAD_G_ERRORS = {
+    "exp(u)": "error: non-finite result from exp(827.7629198311454)",
+    "sqrt(u-1)": "error: sqrt of negative argument: sqrt(-0.8699232662511471)",
+    "0.1*u-1": "error: g evaluated negative (-1) at a quadrature sample; "
+               "the nonlinearity must map into [0, inf)",
+    "u^1000": "error: non-finite result from pow(8.277629198311454, 1000)",
+    # a scalar zero divisor against a sampled array of u
+    "1 + u/0": "error: division by zero: divide(0.13007673374885287, 0)",
+}
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--g", "exp(u)", "--umax", "1000", "--lambda", "1"],
      ["--g", "sqrt(u-1)", "--lambda", "1"],
      ["--g", "0.1*u-1", "--lambda", "2"],
-     ["--g", "u^1000", "--lambda", "1"]],
+     ["--g", "u^1000", "--lambda", "1"],
+     ["--g", "1 + u/0", "--lambda", "0.5"]],
 )
 def test_solve_g_outside_domain_or_cone_is_bad_input(flags, tmp_path, capsys):
     out = tmp_path / "x"
     code = main(["solve", "--alpha", "3.5", "--sigma", "0.5", "--tau", "1", *flags,
                  "--out", str(out)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == BAD_G_ERRORS[flags[1]] + "\n"
     assert not out.exists()  # nothing is written before the solve succeeds
+
+
+@pytest.mark.parametrize("command", [
+    ["kernel", "--grid", "9"],
+    ["solve", "--g", "1", "--lambda", "0.5", "--tau", "1"],
+])
+@pytest.mark.parametrize("sigma", ["0.999999999999999", "0.9999999999999999"])
+def test_sigma_too_close_to_one_is_bad_input(command, sigma, tmp_path, capsys):
+    # N from the closed form is no longer accurate there
+    out = tmp_path / "x"
+    assert main([*command, "--alpha", "3.5", "--sigma", sigma, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sigma must be at most 1 - 1e-08 for N to be accurate, got {sigma}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fraksolve import exprparse
 from fraksolve.exprparse import (
+    BinOp,
+    Call,
     EvalDomainError,
+    Neg,
+    Num,
     ParseError,
+    Var,
     evaluate,
     parse,
 )
@@ -96,6 +106,17 @@ def test_matrix_domain_error_reports_offender():
         evaluate(parse("ln(u)"), np.ones((2, 2)), u)
 
 
+@pytest.mark.parametrize("t_axis", [0, 1])
+def test_broadcast_zero_divisor_reports_offender(t_axis):
+    # the divisor's mask spans one axis, the quotient two
+    t, u = np.array([1.0, 2.0, 3.0]), np.array([4.0, 0.0])
+    t, u = (t[:, None], u[None, :]) if t_axis == 0 else (t[None, :], u[:, None])
+    with pytest.raises(EvalDomainError, match=r"^division by zero: divide\(1, 0\)$"):
+        evaluate(parse("t/u"), t, u)
+    with pytest.raises(EvalDomainError, match=r"^division by zero: divide\(1, 0\)$"):
+        evaluate(parse("t/0"), t, u)
+
+
 def test_atan_and_abs():
     assert evaluate(parse("atan(1)*4"), 0.0, 0.0) == pytest.approx(np.pi)
     assert evaluate(parse("abs(-3)"), 0.0, 0.0) == 3.0
@@ -128,3 +149,72 @@ def test_oversize_input_rejected():
 def test_deep_nesting_is_a_parse_error(text):
     with pytest.raises(ParseError, match="nested too deeply"):
         parse(text)
+
+
+# literals as the parser makes them: finite and not negative
+_LITERALS = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 3.0, 700.0, 1e200, 1.7e308])
+_POINTS = st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-300, 0.5, 1.0, -2.5, 3.0, 710.0,
+                           1e200, -1e200, 1.7e308, np.inf, -np.inf, np.nan])
+_UNARY = ("sqrt", "ln", "exp", "atan", "abs")
+
+expressions = st.recursive(
+    st.builds(Num, _LITERALS) | st.builds(Var, st.sampled_from("tu")),
+    lambda sub: (st.builds(Neg, sub)
+                 | st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub)
+                 | st.builds(lambda fn, a: Call(fn, (a,)), st.sampled_from(_UNARY), sub)
+                 | st.builds(lambda a, b: Call("pow", (a, b)), sub, sub)),
+    max_leaves=10,
+)
+
+
+@st.composite
+def points(draw):
+    """(t, u) as two scalars, two equal-shape arrays or a broadcast pair."""
+    kind = draw(st.sampled_from(["scalar", "same", "outer"]))
+    if kind == "scalar":
+        return draw(_POINTS), draw(_POINTS)
+    shapes = [(4,), (4,)] if kind == "same" else draw(st.permutations([(3, 1), (1, 2)]))
+    return tuple(np.array(draw(st.lists(_POINTS, min_size=int(np.prod(shape)),
+                                        max_size=int(np.prod(shape))))).reshape(shape)
+                 for shape in shapes)
+
+
+def _outcome(expr, t, u):
+    try:
+        out = evaluate(expr, t, u)
+    except EvalDomainError as exc:
+        return "EvalDomainError", str(exc)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+def _trap(*args):
+    raise FloatingPointError
+
+
+@settings(max_examples=500, deadline=None)
+@given(expressions, points())
+def test_fast_path_matches_checked_walk(expr, tu):
+    fast = _outcome(expr, *tu)
+    with mock.patch.object(exprparse, "_eval_fast", _trap):  # every call takes the checked walk
+        checked = _outcome(expr, *tu)
+    assert fast == checked
+
+
+def test_clean_input_skips_checked_walk():
+    t, u = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 10.0, 5)
+    with mock.patch.object(exprparse, "_eval", _trap):
+        out = evaluate(parse("1 + 17.3*u/(1+sqrt(u))^2"), t, u)
+    assert np.allclose(out, 1 + 17.3 * u / (1 + np.sqrt(u)) ** 2, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, points())
+def test_caller_errstate_plays_no_part(expr, tu):
+    want = _outcome(expr, *tu)
+    before = np.geterr()
+    for state in ({"all": "raise"}, {"under": "raise"}, {"all": "ignore"}):
+        with np.errstate(**state):
+            inside = np.geterr()
+            assert _outcome(expr, *tu) == want
+            assert np.geterr() == inside
+    assert np.geterr() == before

@@ -28,6 +28,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GreenParams(3.5, 1.0)
     GreenParams(4.0, 1e-8)  # alpha = 4 admitted
+    GreenParams(3.5, 1.0 - 1e-8)  # the sigma closest to 1 admitted
+    with pytest.raises(ValueError, match="for N to be accurate"):
+        GreenParams(3.5, 1.0 - 1e-9)
 
 
 def test_green_anchor_values():
