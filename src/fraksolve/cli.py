@@ -1,9 +1,10 @@
 """Command-line surface: solve problems, dump kernel data, run the
 verification suite.
 
-Exit codes: 0 success, 1 malformed input (a g that leaves its domain or
-evaluates negative included), 2 certificate failure without
---uncertified, 3 non-convergence, 4 verification-suite failure.
+Exit codes: 0 success, 1 malformed input (a command-line usage error, and
+a g that leaves its domain or evaluates negative, included), 2 certificate
+failure without --uncertified, 3 non-convergence, 4 verification-suite
+failure.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
-from .exprparse import EvalDomainError, ParseError, parse
+from .exprparse import EvalDomainError, ParseError
 from .fcontraction import CATALOG_IDS, control_catalog, verify_control_class, verify_wardowski
 from .kernel import (
     GreenParams,
@@ -27,7 +29,6 @@ from .kernel import (
 )
 from .quadrature import MAX_POINTS, integrate_green, jacobi_rule, panel_sums, split_panels
 from .solver import (
-    G_CATALOG_IDS,
     MAX_GRID,
     ConeViolationError,
     NonConvergenceError,
@@ -48,21 +49,6 @@ EXIT_VERIFY_FAILED = 4
 
 SWEEP_ALPHAS = (3.01, 3.5, 4.0)
 SWEEP_SIGMAS = (0.1, 0.5, 0.9)
-
-_PROBLEM_KEYS = {
-    "alpha",
-    "sigma",
-    "g",
-    "lambda",
-    "tau",
-    "grid_points",
-    "quad_points",
-    "tol",
-    "max_iters",
-    # optional extensions
-    "enforce_cone",
-    "u_max",
-}
 
 
 def _fmt(x: float) -> str:
@@ -90,7 +76,7 @@ def _load_problem_file(path: str) -> dict:
             raise ValueError("malformed JSON: arrays or objects nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("problem file must contain a JSON object")
-    unknown = set(data) - _PROBLEM_KEYS
+    unknown = set(data) - {f.key for f in _FIELDS}
     if unknown:
         raise ValueError(f"unknown problem keys: {sorted(unknown)}")
     return data
@@ -123,52 +109,43 @@ def _bool_field(data: dict, key: str) -> bool:
     return val
 
 
-_OPTIONAL_FIELDS = {
-    "quad_points": _int_field,
-    "grid_points": _int_field,
-    "tol": _float_field,
-    "max_iters": _int_field,
-    "u_max": _float_field,
-    "enforce_cone": _bool_field,
-}
+# One row per problem field, in flag order: JSON key (the ProblemSpec
+# argument of that name, save that alpha and sigma form its GreenParams and
+# lambda is its lambda_claim), solve flag (None: file only), argparse type,
+# reader of the JSON value, flag help, and whether the field is required;
+# optional fields left out take ProblemSpec's defaults.
+_Field = namedtuple("_Field", "key flag type read help required", defaults=(False,))
+_FIELDS = (
+    _Field("alpha", "--alpha", float, _float_field, None, True),
+    _Field("sigma", "--sigma", float, _float_field, None, True),
+    _Field("g", "--g", str, dict.__getitem__,  # as given: ProblemSpec checks it
+           "regularized nonlinearity g(t,u), an expression in t and u", True),
+    _Field("lambda", "--lambda", float, _float_field, "claimed contraction constant", True),
+    _Field("tau", "--tau", float, _float_field, None, True),
+    _Field("tol", "--tol", float, _float_field, None),
+    _Field("grid_points", "--grid", int, _int_field, "collocation grid size"),
+    _Field("quad_points", "--quad", int, _int_field, "quadrature points per panel"),
+    _Field("max_iters", "--max-iters", int, _int_field, None),
+    _Field("u_max", "--umax", float, _float_field, "certificate sampling range for u"),
+    _Field("enforce_cone", None, None, _bool_field, None),
+)
 
 
 def _build_spec(args) -> ProblemSpec:
-    data: dict = {}
-    if args.problem:
-        data = _load_problem_file(args.problem)
-    overrides = {
-        "alpha": args.alpha,
-        "sigma": args.sigma,
-        "g": args.g,
-        "lambda": getattr(args, "lam"),
-        "tau": args.tau,
-        "tol": args.tol,
-        "grid_points": args.grid,
-        "quad_points": args.quad,
-        "max_iters": args.max_iters,
-        "u_max": args.umax,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            data[key] = val
+    data = _load_problem_file(args.problem) if args.problem else {}
+    for f in _FIELDS:
+        if f.flag and getattr(args, f.key) is not None:
+            data[f.key] = getattr(args, f.key)
     if args.allow_signed_g:
         data["enforce_cone"] = False
-    missing = [k for k in ("alpha", "sigma", "g", "lambda", "tau") if k not in data]
+    missing = [f.key for f in _FIELDS if f.required and f.key not in data]
     if missing:
         raise ValueError(f"missing problem fields: {missing} (supply a file or flags)")
-    g = data["g"]
-    if isinstance(g, str) and g not in G_CATALOG_IDS:
-        g = parse(g)  # syntax errors surface with their offset before any work
-    # fields left out take ProblemSpec's defaults
-    optional = {key: read(data, key) for key, read in _OPTIONAL_FIELDS.items() if key in data}
-    return ProblemSpec(
-        params=GreenParams(_float_field(data, "alpha"), _float_field(data, "sigma")),
-        g=g,
-        lambda_claim=_float_field(data, "lambda"),
-        tau=_float_field(data, "tau"),
-        **optional,
-    )
+    vals = {f.key: f.read(data, f.key) for f in _FIELDS if f.key in data}
+    params = GreenParams(vals.pop("alpha"), vals.pop("sigma"))
+    spec = ProblemSpec(params, lambda_claim=vals.pop("lambda"), **vals)
+    spec.g_callable()  # syntax errors surface with their offset before any work
+    return spec
 
 
 def cmd_solve(args) -> int:
@@ -444,16 +421,9 @@ def cmd_verify(args) -> int:
 def _add_solve_parser(sub) -> None:
     sp = sub.add_parser("solve", help="solve a problem and write solution artifacts")
     sp.add_argument("problem", nargs="?", help="JSON problem file; flags override its values")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--g", help="regularized nonlinearity g(t,u), an expression in t and u")
-    sp.add_argument("--lambda", dest="lam", type=float, help="claimed contraction constant")
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--grid", type=int, help="collocation grid size")
-    sp.add_argument("--quad", type=int, help="quadrature points per panel")
-    sp.add_argument("--max-iters", type=int)
-    sp.add_argument("--umax", type=float, help="certificate sampling range for u")
+    for f in _FIELDS:
+        if f.flag:
+            sp.add_argument(f.flag, dest=f.key, type=f.type, help=f.help)
     sp.add_argument("--uncertified", action="store_true", help="iterate even if the certificate fails")
     sp.add_argument(
         "--allow-signed-g",
@@ -491,8 +461,16 @@ def _add_verify_parser(sub) -> None:
     vp.set_defaults(fn=cmd_verify)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Hands a usage error back to main as bad input (exit 1); argparse
+    would exit 2, which here means a certificate failure."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fraksolve",
         description="Solver and verification toolkit for the singular fractional "
         "clamped boundary value problem",
@@ -501,10 +479,10 @@ def main(argv=None) -> int:
     _add_solve_parser(sub)
     _add_kernel_parser(sub)
     _add_verify_parser(sub)
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.fn(args)
-    except OSError as exc:
+    except (argparse.ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

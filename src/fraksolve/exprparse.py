@@ -1,10 +1,11 @@
 """Arithmetic expressions in the variables t and u.
 
 Recursive-descent parser with reported error offsets, and a numpy-aware
-evaluator that refuses to produce non-finite values silently: a fast walk
-of numpy calls under floating-point traps, and a checked walk of the same
-calls that names the offending operation, run only when a trap fires or
-an input or the result is not finite.
+evaluator that refuses to produce non-finite values silently.  It has one
+tree walk and two tables of calls: the bare numpy calls, run under
+floating-point traps, and the same calls with checks that name the
+offending operation, used only when a trap fires or an input or the
+result is not finite.
 
 Grammar (whitespace-insensitive)::
 
@@ -259,49 +260,6 @@ def _power(a, b):
     return np.power(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-# the numpy call of every operator and function, as the checked walk makes it
-_FAST = {**_BINARY, "^": _power, "pow": _power, "sqrt": np.sqrt, "ln": np.log,
-         "exp": np.exp, "atan": np.arctan, "abs": np.abs}
-
-
-def _eval_fast(node: Expression, t, u):
-    """_eval without its checks: the same numpy calls in the same order."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return t if node.name == "t" else u
-    if isinstance(node, Neg):
-        return -_eval_fast(node.operand, t, u)
-    if isinstance(node, BinOp):
-        return _FAST[node.op](_eval_fast(node.left, t, u), _eval_fast(node.right, t, u))
-    if isinstance(node, Call):
-        return _FAST[node.fn](*[_eval_fast(arg, t, u) for arg in node.args])
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _eval(node: Expression, t, u):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return t if node.name == "t" else u
-    if isinstance(node, Neg):
-        return -_eval(node.operand, t, u)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, t, u)
-        b = _eval(node.right, t, u)
-        if node.op == "^":
-            return _pow(a, b)
-        if node.op == "/":
-            _require(np.asarray(b) != 0.0, "division by zero: divide", a, b)
-        ufunc = _BINARY[node.op]
-        return _finite(ufunc(a, b), ufunc.__name__, a, b)
-    if isinstance(node, Call):
-        vals = [_eval(arg, t, u) for arg in node.args]
-        return _apply_fn(node.fn, vals)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 def _pow(a, b):
     a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     is_int_exp = b_arr == np.floor(b_arr)
@@ -310,17 +268,49 @@ def _pow(a, b):
     return _finite(np.power(a_arr, b_arr), "pow", a, b)
 
 
-def _apply_fn(fn: str, vals):
-    if fn == "pow":
-        return _pow(*vals)
-    (a,) = vals
-    if fn == "sqrt":
-        _require(np.asarray(a) >= 0.0, "sqrt of negative argument: sqrt", a)
-    elif fn == "ln":
-        _require(np.asarray(a) > 0.0, "ln of non-positive argument: ln", a)
-    elif fn == "exp":
-        return _finite(np.exp(a), "exp", a)
-    return _FAST[fn](a)  # sqrt, ln, atan and abs need no check of the result
+def _checked(ufunc):
+    return lambda a, b: _finite(ufunc(a, b), ufunc.__name__, a, b)
+
+
+def _divide(a, b):
+    _require(np.asarray(b) != 0.0, "division by zero: divide", a, b)
+    return _finite(np.divide(a, b), "divide", a, b)
+
+
+def _sqrt(a):
+    _require(np.asarray(a) >= 0.0, "sqrt of negative argument: sqrt", a)
+    return np.sqrt(a)
+
+
+def _ln(a):
+    _require(np.asarray(a) > 0.0, "ln of non-positive argument: ln", a)
+    return np.log(a)
+
+
+# The call of every operator and function: bare numpy calls, and the same
+# calls with the checks that name an out-of-domain argument or a non-finite
+# result (atan and abs need none).
+_FAST = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": _power,
+         "pow": _power, "sqrt": np.sqrt, "ln": np.log, "exp": np.exp, "atan": np.arctan,
+         "abs": np.abs}
+_CHECKED = {"+": _checked(np.add), "-": _checked(np.subtract), "*": _checked(np.multiply),
+            "/": _divide, "^": _pow, "pow": _pow, "sqrt": _sqrt, "ln": _ln,
+            "exp": lambda a: _finite(np.exp(a), "exp", a), "atan": np.arctan, "abs": np.abs}
+
+
+def _walk(node: Expression, t, u, ops: dict):
+    """Evaluate node, making each operator and function call through ops."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return t if node.name == "t" else u
+    if isinstance(node, Neg):
+        return -_walk(node.operand, t, u, ops)
+    if isinstance(node, BinOp):
+        return ops[node.op](_walk(node.left, t, u, ops), _walk(node.right, t, u, ops))
+    if isinstance(node, Call):
+        return ops[node.fn](*[_walk(arg, t, u, ops) for arg in node.args])
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def evaluate(expr: Expression, t, u):
@@ -332,21 +322,22 @@ def evaluate(expr: Expression, t, u):
     zero, overflow to infinity) raise EvalDomainError naming the
     operation and the offending arguments.
 
-    The numpy calls run once without checks, trapping division by zero,
-    overflow and invalid operations (underflow to 0 is no error).  If a
-    trap fires, or t, u or the result is not all finite, the checked walk
-    runs and its value or EvalDomainError is returned as is.  Non-finite
-    inputs need it: IEEE flags nothing for inf/0, and x^0 = 1 hides it.
+    One tree walk runs with the bare numpy calls of ``_FAST``, trapping
+    division by zero, overflow and invalid operations (underflow to 0 is
+    no error).  If a trap fires, or t, u or the result is not all finite,
+    the walk runs again with the checked calls of ``_CHECKED``, and its
+    value or EvalDomainError is returned as is.  Non-finite inputs need
+    it: IEEE flags nothing for inf/0, and x^0 = 1 hides it.
     """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            out = _eval_fast(expr, t, u)
+            out = _walk(expr, t, u, _FAST)
         clean = np.isfinite(out).all() and np.isfinite(t).all() and np.isfinite(u).all()
     except FloatingPointError:
         clean = False
     if not clean:
         with np.errstate(all="ignore"):
-            out = _eval(expr, t, u)
+            out = _walk(expr, t, u, _CHECKED)
     shape = np.broadcast_shapes(np.shape(t), np.shape(u))
     if not shape:
         return float(out)

@@ -86,6 +86,10 @@ def green_eval(params: GreenParams, t, s):
     the two terms cancel as s -> 0 or t -> 1, so that branch is
     evaluated as Gamma(alpha) G = A^(alpha-1) R(x) with x = s(1-t)/A,
     which keeps full relative accuracy there.
+
+    G is +0.0 on the whole boundary of the square with no special case:
+    there either A = 0, so A^(alpha-2) = 0, or x = 0 on the s < t branch,
+    where R(0) = 0.
     """
     a = params.alpha
     t_arr = np.asarray(t, dtype=float)
@@ -105,8 +109,6 @@ def green_eval(params: GreenParams, t, s):
     out[below] = ab * _kink_remainder(x, a - 1.0)
     out *= base ** (a - 2.0)
     out /= gamma(a)
-    # G vanishes identically on the boundary of the square
-    out[(tf == 0.0) | (tf == 1.0) | (sf == 0.0) | (sf == 1.0)] = 0.0
     if np.isscalar(t) and np.isscalar(s):
         return float(out[0])
     return out.reshape(shape)

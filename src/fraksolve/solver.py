@@ -145,6 +145,10 @@ class ProblemSpec:
     _g_resolved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("grid_points", "quad_points", "max_iters"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
         for name in ("lambda_claim", "tau", "tol"):
             val = getattr(self, name)
             if not (val > 0.0 and np.isfinite(val)):
@@ -385,7 +389,8 @@ class ContractionCertificate:
     ``lambda_observed`` is the largest sampled ratio
     |g(t,x)-g(t,y)| (1 + tau sqrt|x-y|)^2 / |x-y|; sampling cannot prove
     the bound globally, so a passing verdict records the budget
-    (``samples``, ``u_max``) it was checked under.
+    (``samples``, ``u_max``) it was checked under.  With no sample (every
+    pair closer than the 1e-8 separation floor) the verdict is fail.
     """
 
     N: float
@@ -441,7 +446,9 @@ def certify_contraction(p: ProblemSpec, seed: int = 0) -> ContractionCertificate
     ratio = np.abs(np.asarray(g(t, x)) - np.asarray(g(t, y))) * (1.0 + tau * np.sqrt(dxy)) ** 2 / dxy
     lambda_observed = float(ratio.max()) if ratio.size else 0.0
     n_value, t_star = green_weight_integral_max(p.params)
-    passed = (lambda_observed <= p.lambda_claim + 1e-12) and (p.lambda_claim * n_value <= 1.0)
+    # no sample left (u_max at the separation floor) certifies nothing
+    passed = (t.size > 0 and lambda_observed <= p.lambda_claim + 1e-12
+              and p.lambda_claim * n_value <= 1.0)
     return ContractionCertificate(
         N=n_value,
         t_star=t_star,

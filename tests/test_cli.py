@@ -78,6 +78,40 @@ def test_solve_certificate_gate_exit_code(tmp_path):
     assert cert["verdict"] == "fail"
 
 
+def test_solve_certificate_without_samples_exit_code(tmp_path):
+    # --umax at the 1e-8 separation floor leaves no sample to certify with
+    out = tmp_path / "x"
+    code = main(["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1 + 1000*u",
+                 "--lambda", "0.001", "--tau", "1", "--umax", "1e-9", "--out", str(out)])
+    assert code == 2
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["samples"] == 0 and cert["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid", "abc"],
+    ["kernel", "--alpha", "3.5"],
+    ["solve", "--bogus", "1"],
+    ["verify", "--seed", "x"],
+    [],
+    ["solve", "--format", "xml"],
+], ids=["bad-int", "missing-flag", "unknown-flag", "bad-seed", "no-command", "bad-choice"])
+def test_usage_error_is_bad_input(argv, tmp_path, monkeypatch, capsys):
+    # exit 2 is the certificate-failure code, so a typo must not end with it
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "x"] if argv else argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--lambda LAMBDA" in capsys.readouterr().out
+
+
 def test_solve_bad_expression_exit_code(tmp_path, capsys):
     code = main(
         ["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "2+*3",
@@ -307,7 +341,6 @@ def test_solve_parses_expression_once(monkeypatch, tmp_path):
         return real_parse(text)
 
     monkeypatch.setattr(exprparse, "parse", counting)
-    monkeypatch.setattr(cli_module, "parse", counting)
     code = main(["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1 + 0.1*ln(1+u)",
                  "--lambda", "0.5", "--tau", "1", "--out", str(tmp_path / "x")])
     assert code == 0

@@ -195,14 +195,15 @@ def _trap(*args):
 @given(expressions, points())
 def test_fast_path_matches_checked_walk(expr, tu):
     fast = _outcome(expr, *tu)
-    with mock.patch.object(exprparse, "_eval_fast", _trap):  # every call takes the checked walk
+    # every fast call traps, so every evaluation with a call takes the checked walk
+    with mock.patch.dict(exprparse._FAST, dict.fromkeys(exprparse._FAST, _trap)):
         checked = _outcome(expr, *tu)
     assert fast == checked
 
 
 def test_clean_input_skips_checked_walk():
     t, u = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 10.0, 5)
-    with mock.patch.object(exprparse, "_eval", _trap):
+    with mock.patch.dict(exprparse._CHECKED, dict.fromkeys(exprparse._CHECKED, _trap)):
         out = evaluate(parse("1 + 17.3*u/(1+sqrt(u))^2"), t, u)
     assert np.allclose(out, 1 + 17.3 * u / (1 + np.sqrt(u)) ** 2, rtol=1e-14, atol=0.0)
 

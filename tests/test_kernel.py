@@ -142,6 +142,24 @@ def test_green_boundary_rows_and_columns_zero(alpha):
     assert np.all(green_eval(p, grid, np.ones(101)) == 0.0)
 
 
+# alpha down to an ulp-scale step above 3, and edge coordinates down to
+# the smallest subnormal and up to an ulp below 1
+_EDGE_ALPHAS = (3.0 + 1e-15, 3.0 + 1e-9, *np.linspace(3.0, 4.0, 44)[1:].tolist())
+_EDGE_COORDS = np.array([0.0, 5e-324, 1e-300, 2.0**-53, 1e-8, 0.3, 0.5, 1.0 - 2.0**-53, 1.0])
+
+
+@pytest.mark.parametrize("alpha", _EDGE_ALPHAS)
+def test_green_boundary_is_positive_zero_from_the_formula(alpha):
+    # no special case for the boundary: A^(alpha-2) = 0 or R(0) = 0 gives +0.0
+    p = GreenParams(alpha, 0.5)
+    c = _EDGE_COORDS
+    zeros, ones = np.zeros_like(c), np.ones_like(c)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for t, s in ((zeros, c), (ones, c), (c, zeros), (c, ones)):
+            g = green_eval(p, t, s)
+            assert np.all(g == 0.0) and not np.any(np.signbit(g)), (t, s, g)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_green_branch_continuity_at_kink(alpha):
     p = GreenParams(alpha, 0.5)

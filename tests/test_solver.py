@@ -182,6 +182,13 @@ def test_certificate_fails_for_steep_linear_forcing():
     assert not cert.passed
 
 
+def test_certificate_without_samples_fails():
+    # every pair lies within the 1e-8 separation floor: nothing is certified
+    cert = certify_contraction(spec_for("1 + 1000*u", lam=0.001, u_max=1e-9))
+    assert cert.samples == 0 and cert.lambda_observed == 0.0
+    assert not cert.passed and cert.verdict == "fail"
+
+
 def test_certificate_gate_blocks_solve():
     p = spec_for("5*u", lam=500.0)
     with pytest.raises(CertificateError):
@@ -458,6 +465,20 @@ def test_problem_spec_validation():
             spec_for("1", lam=bad)
     with pytest.raises(TypeError):
         spec_for(12345)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid_points", 33.5), ("grid_points", 33.0), ("max_iters", 2.5), ("quad_points", 48.0),
+    ("grid_points", True), ("quad_points", True), ("max_iters", True),
+])
+def test_problem_spec_sizes_must_be_integers(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        spec_for("1", **{key: value})
+
+
+def test_problem_spec_accepts_numpy_integer_sizes():
+    p = spec_for("1", grid_points=np.int64(17), quad_points=np.int32(8), max_iters=np.uint8(9))
+    assert solve(p).u.values.shape == (17,)
 
 
 def test_catalog_forcings():
