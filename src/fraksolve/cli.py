@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 malformed input (a command-line usage error, and
 a g that leaves its domain or evaluates negative, included), 2 certificate
 failure without --uncertified, 3 non-convergence, 4 verification-suite
 failure.
+
+``main`` alone turns an exception into exit 1 and one ``error:`` line.  A
+command does all of its work before its one ``_write`` of its artifacts,
+so an exit 1 leaves nothing in ``--out``.
 """
 
 from __future__ import annotations
@@ -55,17 +59,22 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write(out, files: dict) -> None:
+    """Create directory ``out`` and write each of ``files`` by its suffix:
+    a ``.csv`` name takes ``(header, rows)``, a ``.json`` name any JSON
+    value."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        with open(out / name, "w") as fh:
+            if name.endswith(".csv"):
+                header, rows = content
+                fh.write(header + "\n")
+                for row in rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+            else:
+                json.dump(content, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
 
 def _load_problem_file(path: str) -> dict:
@@ -149,36 +158,20 @@ def _build_spec(args) -> ProblemSpec:
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = _build_spec(args)
-        check_residual_step(args.h)  # before any artifact is written
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    except ParseError as exc:
-        print(f"error: invalid expression: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        return _solve_and_write(spec, args)
-    except (EvalDomainError, ConeViolationError) as exc:
-        # g left its domain or the cone at a sampled point
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    spec = _build_spec(args)
+    check_residual_step(args.h)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return _solve_and_write(spec, args)
 
 
 def _solve_and_write(spec: ProblemSpec, args) -> int:
-    """Everything that can fail on a bad g runs before the first write, so
-    an exit 1 leaves no output behind."""
-    out = Path(args.out)
+    """Certificate, solve, positivity report and residual, then one write of
+    the artifacts of the exit taken; certificate.json is in every one."""
     certificate = certify_contraction(spec, seed=args.seed)
+    files = {"certificate.json": certificate.to_dict()}
     if not certificate.passed and not args.uncertified:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "certificate.json", certificate.to_dict())
+        _write(args.out, files)
         print(
             f"certificate failed (lambda_observed={certificate.lambda_observed:.6g}, "
             f"lambda_claim*N={certificate.lambda_claim * certificate.N:.6g}); "
@@ -190,28 +183,23 @@ def _solve_and_write(spec: ProblemSpec, args) -> int:
     try:
         result = solve(spec, uncertified=True)
     except NonConvergenceError as exc:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "certificate.json", certificate.to_dict())
-        _write_csv(out / "trace.csv", "iter,delta", [(i + 1, d) for i, d in enumerate(exc.trace)])
+        files["trace.csv"] = ("iter,delta", enumerate(exc.trace, 1))
+        _write(args.out, files)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
     u = result.u
     report = check_positivity(spec, u, seed=args.seed)
     profile = grunwald_letnikov_residual(spec, u, args.h)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "certificate.json", certificate.to_dict())
-    _write_csv(out / "solution.csv", "t,u", zip(u.nodes, u.values))
-    _write_csv(out / "trace.csv", "iter,delta", [(i + 1, d) for i, d in enumerate(result.trace)])
-    _write_json(out / "positivity.json", report.to_dict())
-    _write_csv(out / "residual.csv", "t,residual", zip(profile.checkpoints, profile.residuals))
+    files["solution.csv"] = ("t,u", zip(u.nodes, u.values))
+    files["trace.csv"] = ("iter,delta", enumerate(result.trace, 1))
+    files["positivity.json"] = report.to_dict()
+    files["residual.csv"] = ("t,residual", zip(profile.checkpoints, profile.residuals))
     if args.format == "json":
-        _write_json(out / "solution.json", {"t": list(u.nodes), "u": list(u.values)})
-        _write_json(out / "trace.json", {"delta": list(result.trace)})
-        _write_json(
-            out / "residual.json",
-            {"t": list(profile.checkpoints), "residual": list(profile.residuals)},
-        )
+        files["solution.json"] = {"t": list(u.nodes), "u": list(u.values)}
+        files["trace.json"] = {"delta": list(result.trace)}
+        files["residual.json"] = {"t": list(profile.checkpoints), "residual": list(profile.residuals)}
+    _write(args.out, files)
     print(
         f"converged in {result.iterations} sweeps; "
         f"certificate {certificate.verdict}; positivity: {report.verdict}"
@@ -220,31 +208,18 @@ def _solve_and_write(spec: ProblemSpec, args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    try:
-        params = GreenParams(args.alpha, args.sigma)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    m = args.grid
-    if not 2 <= m <= MAX_GRID:
-        print(f"error: --grid must be in [2, {MAX_GRID}]", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    params = GreenParams(args.alpha, args.sigma)
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must be in [2, {MAX_GRID}]")
     if not 1 <= args.quad <= MAX_POINTS:
-        print(f"error: --quad must be in [1, {MAX_POINTS}]", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ts = np.linspace(0.0, 1.0, m)
+        raise ValueError(f"--quad must be in [1, {MAX_POINTS}]")
+    ts = np.linspace(0.0, 1.0, args.grid)
     gv = green_eval(params, ts[:, None], ts[None, :])
-    rows = ((t, s, g) for t, row in zip(ts, gv) for s, g in zip(ts, row))
-    _write_csv(out / "green.csv", "t,s,G", rows)
+    g_rows = ((t, s, g) for t, row in zip(ts, gv) for s, g in zip(ts, row))
     one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-    _write_csv(
-        out / "L.csv",
-        "t,L_closed,L_quad",
-        zip(ts, green_weight_integral(params, ts), integrate_green(params, ts, one, args.quad)),
-    )
+    l_rows = zip(ts, green_weight_integral(params, ts), integrate_green(params, ts, one, args.quad))
     n_value, t_star = green_weight_integral_max(params)
+    _write(args.out, {"green.csv": ("t,s,G", g_rows), "L.csv": ("t,L_closed,L_quad", l_rows)})
     print(f"N = {_fmt(n_value)} at t_star = {_fmt(t_star)}")
     return EXIT_OK
 
@@ -404,15 +379,12 @@ def run_verify_suite(seed: int = 0, perturb_kernel: float = 0.0) -> dict:
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not math.isfinite(args.perturb_kernel):
-        print(f"error: --perturb-kernel must be finite, got {args.perturb_kernel}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--perturb-kernel must be finite, got {args.perturb_kernel}")
     report = run_verify_suite(seed=args.seed, perturb_kernel=args.perturb_kernel)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify.json", report)
+    _write(out, {"verify.json": report})
     n_fail = sum(not c["passed"] for c in report["checks"])
     print(f"{len(report['checks'])} checks, {n_fail} failed -> {out / 'verify.json'}")
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
@@ -482,9 +454,15 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except (argparse.ArgumentError, OSError) as exc:
+    except ParseError as exc:
+        print(f"error: invalid expression: {exc}", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
+    # EvalDomainError, ConeViolationError: g left its domain or the cone
+    except (argparse.ArgumentError, OSError, ValueError, TypeError,
+            EvalDomainError, ConeViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

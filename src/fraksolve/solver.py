@@ -422,6 +422,7 @@ class ContractionCertificate:
 
 # (t, x, y) triples the certificate samples
 _CERT_SAMPLES = 2000
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def certify_contraction(p: ProblemSpec, seed: int = 0) -> ContractionCertificate:
@@ -443,8 +444,13 @@ def certify_contraction(p: ProblemSpec, seed: int = 0) -> ContractionCertificate
     ok = np.abs(x - y) >= 1e-8
     t, x, y = t[ok], x[ok], y[ok]
     dxy = np.abs(x - y)
-    ratio = np.abs(np.asarray(g(t, x)) - np.asarray(g(t, y))) * (1.0 + tau * np.sqrt(dxy)) ** 2 / dxy
-    lambda_observed = float(ratio.max()) if ratio.size else 0.0
+    # a g constant in u meets the condition at any tau, even where the
+    # factor (1 + tau sqrt|x-y|)^2 overflows; a ratio that overflows is
+    # capped at the largest double, a lower bound of the true one
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(np.asarray(g(t, x)) - np.asarray(g(t, y)))
+        ratio = np.where(diff == 0.0, 0.0, diff * (1.0 + tau * np.sqrt(dxy)) ** 2 / dxy)
+    lambda_observed = min(float(ratio.max()), _FLOAT_MAX) if ratio.size else 0.0
     n_value, t_star = green_weight_integral_max(p.params)
     # no sample left (u_max at the separation floor) certifies nothing
     passed = (t.size > 0 and lambda_observed <= p.lambda_claim + 1e-12
@@ -585,7 +591,7 @@ def check_positivity(p: ProblemSpec, u: SolutionGrid, seed: int = 0) -> Positivi
     rng = np.random.default_rng(seed)
     tt = u.nodes
     xs = rng.uniform(0.0, p.u_max, size=(_POSITIVITY_SAMPLES, 1))
-    ys = xs + rng.uniform(0.0, p.u_max, size=(_POSITIVITY_SAMPLES, 1))
+    ys = rng.uniform(xs, p.u_max)  # x <= y <= u_max
     t_row = tt[None, :]
     monotone = bool(np.all(np.asarray(g(t_row, xs)) <= np.asarray(g(t_row, ys)) + 1e-12))
     t_near0 = np.geomspace(1e-8, 1e-2, 25)
@@ -652,16 +658,22 @@ class _ResidualPlan:
     recip: tuple[np.ndarray, np.ndarray] | None
 
 
+# The GL stencil's shift round(alpha/2) is 2 for every alpha in (3, 4],
+# as alpha/2 lies in (1.5, 2]; the farthest shifted sample, a checkpoint
+# <= 0.8 plus 2h with h <= 1e-2 (check_residual_step), stays below 1.
+_GL_SHIFT = 2
+
+
 @functools.lru_cache(maxsize=2)  # sweep_cold alternates two grids
-def _residual_plan(nodes: bytes, h: float, checkpoints: bytes, shift: int) -> _ResidualPlan:
+def _residual_plan(nodes: bytes, h: float, checkpoints: bytes) -> _ResidualPlan:
     """The stencil plan for u on ``nodes``; arguments are raw float64 bytes
     so the arrays can key the cache."""
     nodes_arr = np.frombuffer(nodes)
     t = np.frombuffer(checkpoints)
-    terms = np.floor(t / h + 1e-9).astype(int) + 1 + shift
+    terms = np.floor(t / h + 1e-9).astype(int) + 1 + _GL_SHIFT
     ends = np.cumsum(terms)
     j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
-    stencil = np.repeat(t, terms) - h * (j - shift)
+    stencil = np.repeat(t, terms) - h * (j - _GL_SHIFT)
     # neighbouring checkpoints' stencils share most of their points;
     # each distinct point is interpolated once
     points, where = np.unique(np.concatenate([np.clip(stencil, 0.0, 1.0), t]),
@@ -711,16 +723,13 @@ def grunwald_letnikov_residual(
     """
     check_residual_step(h)
     a, sg = p.params.alpha, p.params.sigma
-    shift = int(round(a / 2.0))
     if checkpoints is None:
         checkpoints = np.linspace(0.2, 0.8, 13)
     checkpoints = _checkpoint_array(checkpoints)
     if np.any((checkpoints < 0.2 - 1e-12) | (checkpoints > 0.8 + 1e-12)):
         raise ValueError("checkpoints must lie in [0.2, 0.8]")
-    if checkpoints.max() + shift * h > 1.0:
-        raise ValueError("shifted sample t + shift*h exceeds 1")
     g = p.g_callable()
-    plan = _residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes(), shift)
+    plan = _residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes())
     if plan.recip is None:
         uvals = u.interpolate(plan.points)[plan.where]
     else:

@@ -389,6 +389,101 @@ def test_solve_json_format_adds_copies(manufactured_file, tmp_path):
     assert len(data["t"]) == 33
 
 
+# --- exit contract: one bad-input handler, artifacts written after all work --
+
+
+def _strict_json(path):
+    """The JSON at path; NaN and Infinity, which are not JSON, raise."""
+
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("green_weight_integral", ["kernel", "--alpha", "3.5", "--sigma", "0.5"]),
+    ("grunwald_letnikov_residual", ["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1",
+                                    "--lambda", "0.5", "--tau", "1"]),
+])
+def test_late_failure_is_bad_input_and_writes_nothing(target, argv, monkeypatch, tmp_path, capsys):
+    import fraksolve.cli as cli_module
+
+    monkeypatch.setattr(cli_module, target, _boom)
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+_P35 = ["solve", "--alpha", "3.5", "--sigma", "0.5"]
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("flags, extra, code, observed", [
+    # a g constant in u meets the condition at any tau
+    (["--g", "1", "--lambda", "0.5", "--tau", "1e200"], [], 0, 0.0),
+    # an overflowing ratio is capped at the largest double: the certificate fails
+    (["--g", "1+0.1*u", "--lambda", "1", "--tau", "1e200"], [], 2, _FLOAT_MAX),
+    (["--g", "1e307*u", "--lambda", "1", "--tau", "1"], [], 2, _FLOAT_MAX),
+    (["--g", "1+0.1*u", "--lambda", "1", "--tau", "1e200"], ["--uncertified"], 0, _FLOAT_MAX),
+], ids=["constant-g", "huge-tau", "huge-slope", "huge-tau-uncertified"])
+def test_solve_overflowing_certificate_ratio_is_strict_json(flags, extra, code, observed,
+                                                            tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main([*_P35, *flags, *extra, "--out", str(out)]) == code
+    assert capsys.readouterr().err.count("\n") == (code != 0)
+    assert _strict_json(out / "certificate.json")["lambda_observed"] == observed
+
+
+def test_solve_positivity_samples_u_within_umax(monkeypatch, tmp_path):
+    # g decreases in u and leaves its domain past u = 10.5, just above the
+    # default u_max of 10
+    from fraksolve import exprparse
+
+    seen = []
+    real_evaluate = exprparse.evaluate
+
+    def recording(expr, t, u):
+        seen.append(np.asarray(u, dtype=float))
+        return real_evaluate(expr, t, u)
+
+    monkeypatch.setattr(exprparse, "evaluate", recording)
+    out = tmp_path / "x"
+    assert main([*_P35, "--g", "1 + 0.001*sqrt(10.5-u)", "--lambda", "0.01", "--tau", "1",
+                 "--out", str(out)]) == 0
+    assert _strict_json(out / "positivity.json")["verdict"] == "not-verified"
+    assert min(u.min() for u in seen) >= 0.0 and max(u.max() for u in seen) <= 10.0
+
+
+_LOG_UNIFORM = st.floats(-6.0, 300.0).map(lambda e: f"{10.0 ** e:.6g}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.sampled_from(["1", "1+0.1*u", "1 + 0.1*ln(1+u)"]), tau=_LOG_UNIFORM,
+       lam=_LOG_UNIFORM, umax=_LOG_UNIFORM, uncertified=st.booleans())
+@example(g="1", tau="1e200", lam="0.5", umax="10", uncertified=False)
+@example(g="1+0.1*u", tau="1e200", lam="1", umax="10", uncertified=True)
+@example(g="1e307*u", tau="1", lam="1", umax="10", uncertified=True)
+@example(g="1 + 0.1*ln(1+u)", tau="1", lam="0.5", umax="1e308", uncertified=True)
+@example(g="1 + 0.001*sqrt(10.5-u)", tau="1", lam="0.01", umax="10", uncertified=False)
+def test_solve_exit_contract_property(g, tau, lam, umax, uncertified):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "x"
+        argv = [*_P35, "--g", g, "--lambda", lam, "--tau", tau, "--umax", umax,
+                "--grid", "17", "--quad", "16", "--out", str(out)]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--uncertified"] * uncertified)
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+        for path in out.glob("*.json"):
+            _strict_json(path)
+
+
 def test_kernel_command(tmp_path, capsys):
     out = tmp_path / "k"
     code = main(["kernel", "--alpha", "4.0", "--sigma", "1e-8", "--grid", "17", "--out", str(out)])
@@ -409,7 +504,7 @@ def test_kernel_command(tmp_path, capsys):
 
 
 def test_kernel_green_csv_matches_row_by_row_evaluation(tmp_path):
-    from fraksolve.cli import _write_csv
+    from fraksolve.cli import _write
     from fraksolve.kernel import GreenParams, green_eval
 
     out = tmp_path / "k"
@@ -420,7 +515,7 @@ def test_kernel_green_csv_matches_row_by_row_evaluation(tmp_path):
     rows = []
     for t in ts:
         rows.extend((t, s, g) for s, g in zip(ts, green_eval(p, np.full(33, t), ts)))
-    _write_csv(tmp_path / "ref.csv", "t,s,G", rows)
+    _write(tmp_path, {"ref.csv": ("t,s,G", rows)})
     assert (out / "green.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

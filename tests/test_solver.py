@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -187,6 +188,22 @@ def test_certificate_without_samples_fails():
     cert = certify_contraction(spec_for("1 + 1000*u", lam=0.001, u_max=1e-9))
     assert cert.samples == 0 and cert.lambda_observed == 0.0
     assert not cert.passed and cert.verdict == "fail"
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("g, lam, tau, observed", [
+    ("1", 0.5, 1e200, 0.0),  # constant in u: met at any tau
+    ("1+0.1*u", 1.0, 1e200, np.finfo(float).max),  # (1 + tau sqrt|x-y|)^2 overflows
+    ("1e307*u", 1.0, 1.0, np.finfo(float).max),  # |g(x)-g(y)| times that factor overflows
+])
+def test_certificate_overflowing_ratio_is_capped(g, lam, tau, observed):
+    cert = certify_contraction(spec_for(g, lam=lam, tau=tau))
+    assert cert.lambda_observed == observed
+    assert cert.passed == (observed == 0.0)
+    json.loads(json.dumps(cert.to_dict()), parse_constant=_reject_constant)
 
 
 def test_certificate_gate_blocks_solve():
@@ -503,6 +520,19 @@ def test_positivity_zero_forcing_not_verified():
     assert not rep.forcing_positive_at_origin
 
 
+@pytest.mark.parametrize("u_max", [1e-3, 10.0, 1e308])
+def test_positivity_samples_u_within_u_max(u_max):
+    seen = []
+
+    def g(t, u):
+        seen.append(np.asarray(u))
+        return np.ones(np.broadcast(t, u).shape)
+
+    p = spec_for(g, u_max=u_max)
+    check_positivity(p, SolutionGrid.zeros(17))
+    assert min(u.min() for u in seen) >= 0.0 and max(u.max() for u in seen) <= u_max
+
+
 def test_positivity_manufactured_interior_minimum():
     p = spec_for("manufactured", enforce_cone=False)
     u = solve(p).u
@@ -636,7 +666,7 @@ RESIDUAL_SPEC = spec_for("1 + 0.1*ln(1+u)")
 
 
 def _plan_for(u, h, checkpoints):
-    return solver_module._residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes(), 2)
+    return solver_module._residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes())
 
 
 @pytest.mark.parametrize("h", [1e-3, 5e-4])
