@@ -14,6 +14,7 @@ so an exit 1 leaves nothing in ``--out``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -441,7 +442,10 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built once per process: building it costs
+    several times what parsing does."""
     ap = _Parser(
         prog="fraksolve",
         description="Solver and verification toolkit for the singular fractional "
@@ -451,8 +455,12 @@ def main(argv=None) -> int:
     _add_solve_parser(sub)
     _add_kernel_parser(sub)
     _add_verify_parser(sub)
+    return ap
+
+
+def main(argv=None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         print(f"error: invalid expression: {exc}", file=sys.stderr)

@@ -39,6 +39,7 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "evaluate",
+    "reads_u",
 ]
 
 MAX_SOURCE_BYTES = 64 * 1024
@@ -227,6 +228,24 @@ def parse(text: str) -> Expression:
     if kind != "end":
         raise ParseError(f"unexpected {val!r}", pos)
     return node
+
+
+def reads_u(expr: Expression) -> bool:
+    """Whether the tree contains ``Var("u")``; a tree without it gives
+    the same value at every u.  Walks with a stack, not recursion, so any
+    tree ``parse`` returns is within reach."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var) and node.name == "u":
+            return True
+        if isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, Call):
+            stack += node.args
+    return False
 
 
 def _fmt_args(*vals) -> str:

@@ -94,7 +94,8 @@ def green_eval(params: GreenParams, t, s):
     a = params.alpha
     t_arr = np.asarray(t, dtype=float)
     s_arr = np.asarray(s, dtype=float)
-    if np.any((t_arr < 0.0) | (t_arr > 1.0)) or np.any((s_arr < 0.0) | (s_arr > 1.0)):
+    # written so that NaN fails the check
+    if not (np.all((t_arr >= 0.0) & (t_arr <= 1.0)) and np.all((s_arr >= 0.0) & (s_arr <= 1.0))):
         raise ValueError("green_eval: t and s must lie in [0, 1]")
     shape = np.broadcast_shapes(t_arr.shape, s_arr.shape)
     tf = np.broadcast_to(t_arr, shape).ravel()
@@ -132,7 +133,7 @@ def green_weight_integral(params: GreenParams, t):
     """
     a, sg = params.alpha, params.sigma
     t_arr = np.asarray(t, dtype=float)
-    if np.any((t_arr < 0.0) | (t_arr > 1.0)):
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # NaN fails too
         raise ValueError("green_weight_integral: t must lie in [0, 1]")
     pre, c_hi, c_mid, c_lo = _weight_integral_coeffs(params)
     out = pre * (

@@ -166,10 +166,18 @@ class ProblemSpec:
     def g_callable(self) -> Callable:
         """g as an array callable.  Resolved, and expression text parsed,
         on first use; reused until ``g`` or ``params`` is replaced."""
+        return self._g()[0]
+
+    def g_reads_u(self) -> bool:
+        """False when g is known not to depend on u: the catalog ids and
+        expressions without u.  A Python callable is taken to read u."""
+        return self._g()[1]
+
+    def _g(self) -> tuple[Callable, bool]:
         hit = self._g_resolved
         if hit is None or hit[0] is not self.g or hit[1] is not self.params:
-            hit = self._g_resolved = (self.g, self.params, _resolve_g(self.g, self.params))
-        return hit[2]
+            hit = self._g_resolved = (self.g, self.params, *_resolve_g(self.g, self.params))
+        return hit[2:]
 
 
 def _check_g(g) -> None:
@@ -179,14 +187,15 @@ def _check_g(g) -> None:
         )
 
 
-def _resolve_g(g: GFunction, params: GreenParams) -> Callable:
+def _resolve_g(g: GFunction, params: GreenParams) -> tuple[Callable, bool]:
+    """g as an array callable, and whether it reads u."""
     _check_g(g)
     if isinstance(g, str):
         if g in G_CATALOG_IDS:
-            return catalog_g(g, params)
+            return catalog_g(g, params), False
         g = exprparse.parse(g)
     if isinstance(g, Expression):
-        return lambda t, u: exprparse.evaluate(g, t, u)
+        return (lambda t, u: exprparse.evaluate(g, t, u)), exprparse.reads_u(g)
 
     def wrapped(t, u):
         out = g(t, u)
@@ -194,7 +203,7 @@ def _resolve_g(g: GFunction, params: GreenParams) -> Callable:
             return np.full(np.shape(t), float(out))
         return out
 
-    return wrapped
+    return wrapped, True
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +289,14 @@ class SolutionGrid:
         """Barycentric interpolation, second form, at scalar or array x.
 
         Points are taken in blocks, so the reciprocal matrix stays within
-        ``_INTERP_BLOCK`` entries however many points are asked for.
+        ``_INTERP_BLOCK`` entries however many points are asked for.  A
+        NaN or infinite x is a ValueError: it would snap to node 0.
         """
         w = _bary_weights(len(self.nodes))
         x_arr = np.asarray(x, dtype=float)
         flat = x_arr.ravel()
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("interpolate: x must be finite")
         out = np.empty(flat.size)
         step = max(1, _INTERP_BLOCK // len(self.nodes))
         for i in range(0, flat.size, step):
@@ -306,10 +318,11 @@ class DiscreteGreenOperator:
     """One Picard sweep, precomputed for fixed (params, grid, quadrature).
 
     Per collocation node the split quadrature samples are fixed
-    (``split_panels``), so kernel values, rule weights and the
-    barycentric map from grid values to sample points are matrices built
-    once.  ``apply`` is then a handful of vectorized operations; per-node
-    sums use a fixed order, so results do not depend on scheduling.
+    (``split_panels``), so kernel values and rule weights are matrices
+    built once, and so is the barycentric map from grid values to sample
+    points, on first use: a g that does not read u never needs it.
+    ``apply`` is then a handful of vectorized operations; per-node sums
+    use a fixed order, so results do not depend on scheduling.
 
     With ``out_nodes`` the operator takes values on the ``grid_points``
     grid and returns T u at ``out_nodes`` instead (a Nystrom
@@ -323,12 +336,20 @@ class DiscreteGreenOperator:
         self.nodes = tt
         out_nodes = tt if out_nodes is None else np.asarray(out_nodes, dtype=float)
         self.s, self.coef = split_panels(params, out_nodes, quad_points)
-        self._interp = _bary_matrix(tt, _bary_weights(grid_points), self.s.ravel())
         # the kernel vanishes identically at t = 0 and t = 1
         self._boundary = (out_nodes == 0.0) | (out_nodes == 1.0)
 
-    def apply(self, values: np.ndarray, g: Callable, enforce_cone: bool) -> np.ndarray:
-        u = (self._interp @ values).reshape(self.s.shape)
+    @functools.cached_property
+    def _interp(self) -> np.ndarray:
+        return _bary_matrix(self.nodes, _bary_weights(len(self.nodes)), self.s.ravel())
+
+    def apply(self, values: np.ndarray | None, g: Callable, enforce_cone: bool) -> np.ndarray:
+        """T u for u given by its grid values; ``values`` None says that g
+        does not read u, so g gets u = 0 and the map is not used."""
+        if values is None:
+            u = np.zeros(self.s.shape)
+        else:
+            u = (self._interp @ values).reshape(self.s.shape)
         if enforce_cone:
             # cone elements stay non-negative; interpolation overshoot is
             # projected back so g never sees a spurious negative u
@@ -374,7 +395,7 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
                    p.grid_points, p.quad_points)
     if len(u.nodes) != len(op.nodes) or not np.array_equal(u.nodes, op.nodes):
         raise ValueError("grid of u does not match ProblemSpec.grid_points")
-    vals = op.apply(u.values, p.g_callable(), p.enforce_cone)
+    vals = op.apply(u.values if p.g_reads_u() else None, p.g_callable(), p.enforce_cone)
     return SolutionGrid(op.nodes, vals)
 
 
@@ -496,9 +517,10 @@ def _picard(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sweeps u <- T u until a delta reaches p.tol or p.max_iters sweeps
     are spent; returns the last iterate and the deltas."""
+    reads_u = p.g_reads_u()
     deltas: list[float] = []
     for _ in range(p.max_iters):
-        u_next = op.apply(u, g, p.enforce_cone)
+        u_next = op.apply(u if reads_u else None, g, p.enforce_cone)
         deltas.append(float(np.max(np.abs(u_next - u))))
         u = u_next
         if deltas[-1] <= p.tol:
@@ -545,7 +567,8 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
             break
         served = grid > 33 and deltas[0] <= p.tol
         up = m if served else min(2 * grid - 1, m)
-        u = _operator(entry, p.params, grid, quad, up).apply(u, g, p.enforce_cone)
+        u = _operator(entry, p.params, grid, quad, up).apply(
+            u if p.g_reads_u() else None, g, p.enforce_cone)
         if served:
             break
         below += len(deltas)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraksolve import cli
 from fraksolve.cli import main
 
 MANUFACTURED = {
@@ -110,6 +111,22 @@ def test_help_exits_zero(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--lambda LAMBDA" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    base = ["solve", "--alpha", "3.5", "--sigma", "0.5", "--g", "1", "--lambda", "0.1",
+            "--tau", "1"]
+    assert main([*base, "--grid", "17", "--format", "json", "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve", "--alpha", "x"]) == 1  # a usage error part-way through a parse
+    assert main([*base, "--out", str(tmp_path / "b")]) == 0
+    # the second solve has the defaults, not the first one's flags
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+        "certificate.json", "positivity.json", "residual.csv", "solution.csv", "trace.csv"]
+    assert len(_read_csv(tmp_path / "b" / "solution.csv")[1]) == 33
+    fresh = cli._parser.__wrapped__()
+    assert cli._parser().format_help() == fresh.format_help()
+    assert cli._parser().format_usage() == fresh.format_usage()
 
 
 def test_solve_bad_expression_exit_code(tmp_path, capsys):

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraksolve import exprparse
@@ -157,14 +157,20 @@ _POINTS = st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-300, 0.5, 1.0, -2.5, 3
                            1e200, -1e200, 1.7e308, np.inf, -np.inf, np.nan])
 _UNARY = ("sqrt", "ln", "exp", "atan", "abs")
 
-expressions = st.recursive(
-    st.builds(Num, _LITERALS) | st.builds(Var, st.sampled_from("tu")),
-    lambda sub: (st.builds(Neg, sub)
-                 | st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub)
-                 | st.builds(lambda fn, a: Call(fn, (a,)), st.sampled_from(_UNARY), sub)
-                 | st.builds(lambda a, b: Call("pow", (a, b)), sub, sub)),
-    max_leaves=10,
-)
+
+def _trees(variables: str):
+    """Expression trees whose leaves are literals and the given variables."""
+    return st.recursive(
+        st.builds(Num, _LITERALS) | st.builds(Var, st.sampled_from(variables)),
+        lambda sub: (st.builds(Neg, sub)
+                     | st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub)
+                     | st.builds(lambda fn, a: Call(fn, (a,)), st.sampled_from(_UNARY), sub)
+                     | st.builds(lambda a, b: Call("pow", (a, b)), sub, sub)),
+        max_leaves=10,
+    )
+
+
+expressions = _trees("tu")
 
 
 @st.composite
@@ -177,6 +183,15 @@ def points(draw):
     return tuple(np.array(draw(st.lists(_POINTS, min_size=int(np.prod(shape)),
                                         max_size=int(np.prod(shape))))).reshape(shape)
                  for shape in shapes)
+
+
+@st.composite
+def _other_u(draw, u):
+    """A u of the same shape as u, with other values."""
+    other = np.array(draw(st.lists(_POINTS, min_size=np.size(u), max_size=np.size(u))))
+    other = other.reshape(np.shape(u)) if np.ndim(u) else float(other[0])
+    assume(np.asarray(other).tobytes() != np.asarray(u).tobytes())
+    return other
 
 
 def _outcome(expr, t, u):
@@ -219,3 +234,17 @@ def test_caller_errstate_plays_no_part(expr, tu):
             assert _outcome(expr, *tu) == want
             assert np.geterr() == inside
     assert np.geterr() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions)
+def test_reads_u_finds_every_u(expr):
+    assert exprparse.reads_u(expr) == ("Var(name='u')" in repr(expr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees("t"), points(), st.data())
+def test_tree_without_u_gives_the_same_value_at_any_u(expr, tu, data):
+    t, u = tu
+    assert not exprparse.reads_u(expr)
+    assert _outcome(expr, t, u) == _outcome(expr, t, data.draw(_other_u(u)))

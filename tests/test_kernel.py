@@ -123,6 +123,17 @@ def test_green_domain_errors():
             green_eval(p, t, s)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_domain_errors(bad):
+    p = GreenParams(3.5, 0.5)
+    for t, s in ((bad, 0.5), (0.5, bad), (np.array([0.2, bad]), 0.5)):
+        with pytest.raises(ValueError, match=r"^green_eval: t and s must lie in \[0, 1\]$"):
+            green_eval(p, t, s)
+    for t in (bad, np.array([0.5, bad])):
+        with pytest.raises(ValueError, match=r"^green_weight_integral: t must lie in \[0, 1\]$"):
+            green_weight_integral(p, t)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_green_positivity_sampled(alpha):
     p = GreenParams(alpha, 0.5)

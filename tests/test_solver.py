@@ -80,6 +80,15 @@ def test_bary_matrix_unit_rows_at_and_next_to_nodes():
     np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_interpolate_refuses_non_finite_points(bad):
+    # the snap to the nearest node would give the value at node 0
+    grid = SolutionGrid.from_function(lambda t: 1.0 + t, 9)
+    for x in (bad, np.array([0.5, bad])):
+        with pytest.raises(ValueError, match="^interpolate: x must be finite$"):
+            grid.interpolate(x)
+
+
 def test_interpolate_in_blocks_matches_one_matrix(monkeypatch):
     grid = SolutionGrid.from_function(lambda t: np.sin(3.0 * t), 17)
     x = np.linspace(0.0, 1.0, 1001).reshape(7, 143)
@@ -449,6 +458,7 @@ def test_operator_cache_holds_one_ladder_per_entry():
     # 33 -> 65 levels and the Nystrom map from 65 points to the 129 nodes
     assert set(ladder) == {(33, 48, None), (33, 48, 65), (65, 96, None), (65, 96, 129)}
     output = ladder[(65, 96, 129)]
+    assert "_interp" in vars(output)  # built by the solve, g reads u
     assert output._interp.shape == (129 * 192, 65) and output.s.shape == (129, 192)
     solve(spec_for("1", grid_points=17))
     solve(spec_for("1"))
@@ -458,6 +468,64 @@ def test_operator_cache_holds_one_ladder_per_entry():
     assert list(entries(P35, 17, 48)) == [(17, 48, None)]
     assert list(entries(P35, 33, 48)) == [(33, 48, None)]
     assert entries.cache_info()[:2] == (3, 3)
+
+
+def _no_map(*args):
+    raise AssertionError("barycentric map built")
+
+
+@pytest.mark.parametrize("grid, quad", [(33, 48), (257, 128)])
+@pytest.mark.parametrize("g", ["manufactured", "unit", "1 + t^2"])
+def test_u_free_g_builds_no_map(monkeypatch, g, grid, quad):
+    monkeypatch.setattr(solver_module, "_bary_matrix", _no_map)
+    solver_module._operators.cache_clear()  # no operator whose map is built already
+    p = ProblemSpec(P35, g, lambda_claim=1.0, tau=1.0, grid_points=grid, quad_points=quad,
+                    enforce_cone=g != "manufactured")
+    assert not p.g_reads_u()
+    result = solve(p)
+    applied = apply_green_operator(result.u, p)
+    assert np.max(np.abs(applied.values - result.u.values)) <= 1e-8
+    ops = solver_module._operators(P35, grid, quad).values()
+    assert ops and not any("_interp" in vars(op) for op in ops)
+
+
+@pytest.mark.parametrize("grid, quad", [(33, 48), (257, 128)])
+@pytest.mark.parametrize("free, reading", [("1", "1 + 0*u"), ("1 + t^2", "1 + t^2 + 0*u")])
+def test_u_free_g_solves_bit_for_bit_as_through_the_map(free, reading, grid, quad):
+    solver_module._operators.cache_clear()
+    a, b = (solve(spec_for(g, lam=1.0, grid_points=grid, quad_points=quad))
+            for g in (free, reading))
+    assert not spec_for(free).g_reads_u() and spec_for(reading).g_reads_u()
+    assert a.u.values.tobytes() == b.u.values.tobytes()
+    assert a.trace.tobytes() == b.trace.tobytes()
+    assert ((a.iterations, a.start_iterations, a.solve_grid)
+            == (b.iterations, b.start_iterations, b.solve_grid))
+    # the reading g went through the map of every operator it used
+    assert all("_interp" in vars(op) for op in solver_module._operators(P35, grid, quad).values())
+
+
+def test_u_reading_solve_builds_each_map_once(monkeypatch):
+    built = []
+    real = solver_module._bary_matrix
+    monkeypatch.setattr(solver_module, "_bary_matrix", lambda *a: built.append(1) or real(*a))
+    solver_module._operators.cache_clear()
+    p = nested_spec("1 + 40*u/(1+sqrt(u))^2")
+    first = solve(p)
+    ladder = solver_module._operators(P35, 129, 96)
+    assert len(built) == len(ladder) == 4
+    assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 4
+
+
+@pytest.mark.parametrize("g, reads", [
+    ("manufactured", False), ("unit", False), ("1", False), ("t^2 + exp(-t)", False),
+    ("1 + 0*u", True), ("sqrt(u)", True), (exprparse.parse("pow(t, u)"), True),
+    (lambda t, u: np.ones_like(t), True),  # a callable is taken to read u
+])
+def test_g_reads_u_is_derived_from_g(g, reads):
+    p = spec_for(g)
+    assert p.g_reads_u() is reads
+    p.g = "u"  # the memo follows a replaced g
+    assert p.g_reads_u()
 
 
 def test_problem_spec_validation():
