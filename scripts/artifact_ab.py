@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Byte-identity A/B of the command line: a committed revision against this checkout.
+
+    python3 scripts/artifact_ab.py --rev HEAD
+
+The revision's committed files are unpacked from ``git archive`` into a
+temporary directory (as ``bench_ab.py`` does), and every reference command
+below runs once on each side, each run a fresh ``python -m fraksolve.cli``
+process with that side's ``src`` first on ``PYTHONPATH``, in a temporary
+working directory of its own.  Commands write to ``--out out``, so the
+paths they print match.  The exit code, stdout, stderr and every file
+under ``out`` are compared byte for byte.  One line per command says
+``same``, or names the first difference: the exit codes, or the first
+differing output and byte offset.  The exit status is 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_README_G = '--alpha 3.5 --sigma 0.5 --g "1 + 0.1*ln(1+u)" --lambda 0.5 --tau 1'
+_LADDER_G = '--g "1+20*u/(1+sqrt(u))^2" --lambda 20 --tau 1'
+_SIGNED = "--alpha 3.5 --sigma 0.5 --g manufactured --lambda 1 --tau 1 --allow-signed-g"
+
+# fraksolve arguments; every exit code of the command line is reached
+REFERENCE_COMMANDS = (
+    f"solve {_README_G} --out out",
+    f"solve {_README_G} --grid 257 --quad 128 --out out",
+    f"solve {_SIGNED} --grid 257 --quad 128 --out out",
+    f"solve {_SIGNED} --grid 65 --quad 64 --out out",
+    "solve --alpha 3.5 --sigma 0.5 --g unit --lambda 1 --tau 1 --grid 257 --quad 128 --out out",
+    'solve --alpha 3.5 --sigma 0.5 --g "1+t^2" --lambda 1 --tau 1 --grid 129 --quad 64 --out out',
+    f"solve --alpha 3.3 --sigma 0.3 {_LADDER_G} --grid 513 --quad 128 --out out",
+    f"solve --alpha 3.5 --sigma 0.5 {_LADDER_G} --grid 1024 --quad 64 --out out",
+    f"solve {_README_G} --h 1e-4 --out out",
+    'solve --alpha 3.5 --sigma 0.5 --g "0.1*u - 1" --lambda 2 --tau 1 --out out',  # 1: cone
+    'solve --alpha 3.5 --sigma 0.5 --g "sqrt(u-1)" --lambda 1 --tau 1 --out out',  # 1: domain
+    f"solve {_README_G} --no-such-flag --out out",  # 1: usage
+    'solve --alpha 3.5 --sigma 0.5 --g "1 +" --lambda 1 --tau 1 --out out',  # 1: expression
+    'solve --alpha 3.5 --sigma 0.5 --g "5*u" --lambda 500 --tau 1 --out out',  # 2
+    f"solve {_README_G} --grid 257 --quad 128 --max-iters 3 --out out",  # 3
+    "verify --perturb-kernel 1e-3 --out out",  # 4
+    "--help",
+    "kernel --alpha 3.5 --sigma 0.5 --out out",
+    "verify --seed 0 --out out",
+    "verify --seed 7 --out out",
+    "verify --seed 12345 --out out",
+    "verify --seed 100019 --out out",
+)
+
+
+class Run(NamedTuple):
+    """One command's exit code and outputs: ``stdout``, ``stderr`` and
+    ``out/<path>`` for every file it wrote, each as bytes."""
+
+    code: int
+    outputs: dict[str, bytes]
+
+
+def first_difference(base: Run, new: Run) -> str:
+    """``same``, or the first difference of two runs: the exit codes, an
+    output only one side has, or the first differing output (by name) and
+    the byte offset where it starts to differ."""
+    if base.code != new.code:
+        return f"exit code {base.code} -> {new.code}"
+    for name in sorted(base.outputs.keys() | new.outputs.keys()):
+        a, b = base.outputs.get(name), new.outputs.get(name)
+        if a is None or b is None:
+            return f"{name}: only on the {'revision' if b is None else 'change'} side"
+        if a != b:
+            offset = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+            return f"{name}: differs from byte {offset}"
+    return "same"
+
+
+def run_command(root: Path, command: str) -> Run:
+    """``command`` run by checkout ``root``'s fraksolve in a fresh process
+    and a fresh working directory."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    with tempfile.TemporaryDirectory(prefix="artifact_ab_") as cwd:
+        proc = subprocess.run([sys.executable, "-m", "fraksolve.cli", *shlex.split(command)],
+                              cwd=cwd, env=env, capture_output=True)
+        outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
+        out = Path(cwd) / "out"
+        for path in sorted(out.rglob("*")) if out.is_dir() else ():
+            if path.is_file():
+                outputs[f"out/{path.relative_to(out).as_posix()}"] = path.read_bytes()
+    return Run(proc.returncode, outputs)
+
+
+def main(argv=None) -> int:
+    from bench_ab import _unpack
+
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--rev", required=True, help="the revision to compare against, e.g. HEAD")
+    args = ap.parse_args(argv)
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="artifact_ab_rev_") as tmp:
+        base_root = Path(tmp)
+        _unpack(args.rev, base_root)
+        for command in REFERENCE_COMMANDS:
+            base, new = run_command(base_root, command), run_command(ROOT, command)
+            verdict = first_difference(base, new)
+            differ += verdict != "same"
+            print(f"{verdict:<40} exit {new.code}  fraksolve {command}", flush=True)
+    print(f"{len(REFERENCE_COMMANDS) - differ} of {len(REFERENCE_COMMANDS)} commands same")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -217,19 +217,15 @@ def chebyshev_lobatto_nodes(m: int) -> np.ndarray:
     return (1.0 - np.cos(np.pi * np.arange(m) / (m - 1))) / 2.0
 
 
-def _bary_weights(m: int) -> np.ndarray:
-    w = np.ones(m)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def _bary_reciprocals(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray):
-    """weights / (x - nodes) per point of x, in one buffer, and row sums.
+def _bary_reciprocals(nodes: np.ndarray, x: np.ndarray):
+    """weights / (x - nodes) per point of x, in one buffer, and row sums;
+    the weights are those of ``chebyshev_lobatto_nodes(len(nodes))``.
     An exact node hit, or a near-hit where weight/diff overflowed, leaves
     a non-finite sum; such rows, and zero-sum ones, snap to the nearest
     node (a one-hot row with sum 1)."""
+    weights = np.ones(len(nodes))
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
     mat = x[:, None] - nodes[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(weights, mat, out=mat)
@@ -241,10 +237,10 @@ def _bary_reciprocals(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray):
     return mat, rowsum
 
 
-def _bary_matrix(nodes: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows map node values to interpolant values at the points x (Berrut
-    & Trefethen, SIAM Rev. 46, 2004)."""
-    mat, rowsum = _bary_reciprocals(nodes, weights, np.asarray(x, dtype=float).ravel())
+def _bary_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows map values on Chebyshev-Lobatto ``nodes`` to interpolant
+    values at the points x (Berrut & Trefethen, SIAM Rev. 46, 2004)."""
+    mat, rowsum = _bary_reciprocals(nodes, np.asarray(x, dtype=float).ravel())
     mat /= rowsum[:, None]
     return mat
 
@@ -256,8 +252,9 @@ _INTERP_BLOCK = 1 << 21  # matrix entries (16 MB) per interpolation block
 class SolutionGrid:
     """Interpolable representation of a function on [0, 1].
 
-    ``nodes`` are the Chebyshev-distributed collocation points (with
-    endpoints); ``values`` the function there.
+    ``nodes`` are ``chebyshev_lobatto_nodes(len(values))``, the only
+    nodes whose barycentric weights are known here; ``values`` the
+    function there.  Other nodes are a ValueError.
     """
 
     nodes: np.ndarray
@@ -268,6 +265,8 @@ class SolutionGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.nodes.shape != self.values.shape or self.nodes.ndim != 1:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
+        if not np.array_equal(self.nodes, chebyshev_lobatto_nodes(len(self.nodes))):
+            raise ValueError("nodes must be chebyshev_lobatto_nodes(len(values))")
 
     @classmethod
     def zeros(cls, m: int) -> "SolutionGrid":
@@ -289,18 +288,18 @@ class SolutionGrid:
         """Barycentric interpolation, second form, at scalar or array x.
 
         Points are taken in blocks, so the reciprocal matrix stays within
-        ``_INTERP_BLOCK`` entries however many points are asked for.  A
-        NaN or infinite x is a ValueError: it would snap to node 0.
+        ``_INTERP_BLOCK`` entries however many points are asked for.  An x
+        outside [0, 1] is a ValueError, NaN included: the interpolant does
+        not extrapolate.
         """
-        w = _bary_weights(len(self.nodes))
         x_arr = np.asarray(x, dtype=float)
         flat = x_arr.ravel()
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("interpolate: x must be finite")
+        if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
+            raise ValueError("interpolate: x must lie in [0, 1]")
         out = np.empty(flat.size)
         step = max(1, _INTERP_BLOCK // len(self.nodes))
         for i in range(0, flat.size, step):
-            mat, rowsum = _bary_reciprocals(self.nodes, w, flat[i:i + step])
+            mat, rowsum = _bary_reciprocals(self.nodes, flat[i:i + step])
             out[i:i + step] = (mat @ self.values) / rowsum
         if x_arr.ndim == 0:
             return float(out[0])
@@ -315,72 +314,66 @@ class SolutionGrid:
 
 
 class DiscreteGreenOperator:
-    """One Picard sweep, precomputed for fixed (params, grid, quadrature).
+    """T at its own ``nodes``, precomputed for fixed (params, grid,
+    quadrature).
 
     Per collocation node the split quadrature samples are fixed
     (``split_panels``), so kernel values and rule weights are matrices
-    built once, and so is the barycentric map from grid values to sample
-    points, on first use: a g that does not read u never needs it.
-    ``apply`` is then a handful of vectorized operations; per-node sums
-    use a fixed order, so results do not depend on scheduling.
-
-    With ``out_nodes`` the operator takes values on the ``grid_points``
-    grid and returns T u at ``out_nodes`` instead (a Nystrom
-    interpolation step); ``nodes`` stays the input grid.
+    built once.  ``apply`` reads u from its values on any
+    Chebyshev-Lobatto grid, through one barycentric map per input size,
+    built on first use: a g that does not read u never needs one.  A
+    coarser input grid makes ``apply`` a Nystrom step (Atkinson 1997,
+    section 4.1).  ``apply`` is a handful of vectorized operations;
+    per-node sums use a fixed order, so results do not depend on
+    scheduling.
     """
 
-    def __init__(self, params: GreenParams, grid_points: int, quad_points: int,
-                 out_nodes: np.ndarray | None = None):
-        self.params = params
-        tt = chebyshev_lobatto_nodes(grid_points)
-        self.nodes = tt
-        out_nodes = tt if out_nodes is None else np.asarray(out_nodes, dtype=float)
-        self.s, self.coef = split_panels(params, out_nodes, quad_points)
-        # the kernel vanishes identically at t = 0 and t = 1
-        self._boundary = (out_nodes == 0.0) | (out_nodes == 1.0)
+    def __init__(self, params: GreenParams, grid_points: int, quad_points: int):
+        self.nodes = chebyshev_lobatto_nodes(grid_points)
+        self.s, self.coef = split_panels(params, self.nodes, quad_points)
+        self._maps: dict[int, np.ndarray] = {}
 
-    @functools.cached_property
-    def _interp(self) -> np.ndarray:
-        return _bary_matrix(self.nodes, _bary_weights(len(self.nodes)), self.s.ravel())
-
-    def apply(self, values: np.ndarray | None, g: Callable, enforce_cone: bool) -> np.ndarray:
-        """T u for u given by its grid values; ``values`` None says that g
-        does not read u, so g gets u = 0 and the map is not used."""
-        if values is None:
-            u = np.zeros(self.s.shape)
+    def apply(self, values: np.ndarray, p: ProblemSpec) -> np.ndarray:
+        """T u at the nodes, for u given by its values on the
+        Chebyshev-Lobatto grid of ``len(values)`` points; g and
+        ``enforce_cone`` come from p.  A g that does not read u gets
+        u = 0."""
+        if p.g_reads_u():
+            m = len(values)
+            if m not in self._maps:
+                self._maps[m] = _bary_matrix(chebyshev_lobatto_nodes(m), self.s.ravel())
+            u = (self._maps[m] @ values).reshape(self.s.shape)
         else:
-            u = (self._interp @ values).reshape(self.s.shape)
-        if enforce_cone:
+            u = np.zeros(self.s.shape)
+        if p.enforce_cone:
             # cone elements stay non-negative; interpolation overshoot is
             # projected back so g never sees a spurious negative u
             u = np.maximum(u, 0.0)
-        gs = np.asarray(g(self.s, u), dtype=float)
-        if enforce_cone and np.any(gs < 0.0):
+        gs = np.asarray(p.g_callable()(self.s, u), dtype=float)
+        if p.enforce_cone and np.any(gs < 0.0):
             raise ConeViolationError(
                 f"g evaluated negative ({gs.min():.6g}) at a quadrature sample; "
                 "the nonlinearity must map into [0, inf)"
             )
         out = (self.coef * gs).sum(axis=1)
-        out[self._boundary] = 0.0
+        out[[0, -1]] = 0.0  # the kernel vanishes identically at t = 0 and t = 1
         return out
 
 
 @functools.lru_cache(maxsize=2)
 def _operators(params: GreenParams, grid_points: int, quad_points: int) -> dict:
     """The operators a solve of the requested (params, grid, quad) uses,
-    keyed (grid, quad, output grid or None) and filled by ``_operator``.
-    A sweep over fresh (alpha, sigma) never hits; more entries only hold
-    memory."""
+    keyed (grid, quad) and filled by ``_operator``.  A sweep over fresh
+    (alpha, sigma) never hits; more entries only hold memory."""
     return {}
 
 
-def _operator(entry: dict, params: GreenParams, grid_points: int, quad_points: int,
-              out_points: int | None = None) -> DiscreteGreenOperator:
-    """The entry's operator, built on first use; T u at out_points nodes."""
-    key = (grid_points, quad_points, out_points)
+def _operator(entry: dict, params: GreenParams, grid_points: int,
+              quad_points: int) -> DiscreteGreenOperator:
+    """The entry's operator, built on first use."""
+    key = (grid_points, quad_points)
     if key not in entry:
-        out = None if out_points is None else chebyshev_lobatto_nodes(out_points)
-        entry[key] = DiscreteGreenOperator(params, grid_points, quad_points, out)
+        entry[key] = DiscreteGreenOperator(params, grid_points, quad_points)
     return entry[key]
 
 
@@ -391,12 +384,11 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
     identically there) and is non-negative whenever g is.  With
     ``enforce_cone`` set, a negative g sample raises ConeViolationError.
     """
+    if len(u.values) != p.grid_points:
+        raise ValueError("grid of u does not match ProblemSpec.grid_points")
     op = _operator(_operators(p.params, p.grid_points, p.quad_points), p.params,
                    p.grid_points, p.quad_points)
-    if len(u.nodes) != len(op.nodes) or not np.array_equal(u.nodes, op.nodes):
-        raise ValueError("grid of u does not match ProblemSpec.grid_points")
-    vals = op.apply(u.values if p.g_reads_u() else None, p.g_callable(), p.enforce_cone)
-    return SolutionGrid(op.nodes, vals)
+    return SolutionGrid(op.nodes, op.apply(u.values, p))
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +505,13 @@ _LADDER_MIN_GRID = 129
 
 
 def _picard(
-    op: DiscreteGreenOperator, g: Callable, u: np.ndarray, p: ProblemSpec
+    op: DiscreteGreenOperator, u: np.ndarray, p: ProblemSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sweeps u <- T u until a delta reaches p.tol or p.max_iters sweeps
     are spent; returns the last iterate and the deltas."""
-    reads_u = p.g_reads_u()
     deltas: list[float] = []
     for _ in range(p.max_iters):
-        u_next = op.apply(u if reads_u else None, g, p.enforce_cone)
+        u_next = op.apply(u, p)
         deltas.append(float(np.max(np.abs(u_next - u))))
         u = u_next
         if deltas[-1] <= p.tol:
@@ -535,12 +526,13 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
     Refuses to iterate when the contraction certificate fails, unless
     ``uncertified`` is set.  Without ``u0``, grids of 129 points or more
     climb from zero on 33 points (rule of at most 48 points) through 65,
-    129, ... points; each level starts from one Nystrom application of the
-    level below's rule to its solution (Atkinson 1997, section 4.1).  The
-    first level above 33 points whose first delta is <= tol serves: one
-    more application fills the requested nodes, and ``trace`` and
-    ``iterations`` count that level's sweeps.  A ``u0`` solve, or a
-    smaller grid (from zero), is a one-level ladder.  The limit is the
+    129, ... points; each level starts from one Nystrom step, the
+    operator at its nodes with the level below's rule applied to the
+    level below's solution (Atkinson 1997, section 4.1).  The first level
+    above 33 points whose first delta is <= tol serves: one more step
+    fills the requested nodes, and ``trace`` and ``iterations`` count
+    that level's sweeps.  A ``u0`` solve, or a smaller grid (from zero),
+    is a one-level ladder.  The limit is the
     unique fixed point either way.  ``max_iters`` is a budget per level,
     not for the whole ladder.  An error on any level ends the solve;
     NonConvergenceError carries the deltas and the grid size of the level
@@ -551,29 +543,27 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
         certificate = certify_contraction(p)
         if not certificate.passed:
             raise CertificateError(certificate)
-    g = p.g_callable()
     m, n = p.grid_points, p.quad_points
     entry = _operators(p.params, m, n)
-    nodes = chebyshev_lobatto_nodes(m)
-    if u0 is not None and (len(u0.nodes) != m or not np.array_equal(u0.nodes, nodes)):
+    if u0 is not None and len(u0.values) != m:
         raise ValueError("u0 grid does not match ProblemSpec.grid_points")
     grid, quad = (33, min(48, n)) if u0 is None and m >= _LADDER_MIN_GRID else (m, n)
     u, below = (np.zeros(grid) if u0 is None else u0.values), 0
     while True:
-        u, deltas = _picard(_operator(entry, p.params, grid, quad), g, u, p)
+        u, deltas = _picard(_operator(entry, p.params, grid, quad), u, p)
         if not deltas[-1] <= p.tol:
             raise NonConvergenceError(deltas, p.tol, grid)
         if grid == m:
             break
         served = grid > 33 and deltas[0] <= p.tol
         up = m if served else min(2 * grid - 1, m)
-        u = _operator(entry, p.params, grid, quad, up).apply(
-            u if p.g_reads_u() else None, g, p.enforce_cone)
+        u = _operator(entry, p.params, up, quad).apply(u, p)
         if served:
             break
         below += len(deltas)
         grid, quad = up, n
-    return SolveResult(SolutionGrid(nodes, u), deltas, certificate, len(deltas), below, grid)
+    return SolveResult(SolutionGrid(chebyshev_lobatto_nodes(m), u), deltas, certificate,
+                       len(deltas), below, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +678,9 @@ _GL_SHIFT = 2
 
 
 @functools.lru_cache(maxsize=2)  # sweep_cold alternates two grids
-def _residual_plan(nodes: bytes, h: float, checkpoints: bytes) -> _ResidualPlan:
-    """The stencil plan for u on ``nodes``; arguments are raw float64 bytes
-    so the arrays can key the cache."""
-    nodes_arr = np.frombuffer(nodes)
+def _residual_plan(m: int, h: float, checkpoints: bytes) -> _ResidualPlan:
+    """The stencil plan for u on m nodes; the checkpoints are raw float64
+    bytes so the array can key the cache."""
     t = np.frombuffer(checkpoints)
     terms = np.floor(t / h + 1e-9).astype(int) + 1 + _GL_SHIFT
     ends = np.cumsum(terms)
@@ -702,8 +691,8 @@ def _residual_plan(nodes: bytes, h: float, checkpoints: bytes) -> _ResidualPlan:
     points, where = np.unique(np.concatenate([np.clip(stencil, 0.0, 1.0), t]),
                               return_inverse=True)
     recip = None
-    if points.size <= _INTERP_BLOCK // nodes_arr.size:
-        recip = _bary_reciprocals(nodes_arr, _bary_weights(nodes_arr.size), points)
+    if points.size <= _INTERP_BLOCK // m:
+        recip = _bary_reciprocals(chebyshev_lobatto_nodes(m), points)
     for arr in (terms, ends, j, points, where, *(recip or ())):
         arr.flags.writeable = False  # every later call shares them
     return _ResidualPlan(terms, ends, j, points, where, recip)
@@ -739,8 +728,8 @@ def grunwald_letnikov_residual(
     All checkpoints' stencils are evaluated together: one interpolation
     of u over the distinct stencil points and checkpoints, one vector call
     of g.  The stencil plan (the points, and the barycentric reciprocals
-    at them) depends on u's nodes, h and the checkpoints only, so it is
-    built once per such triple; the last two plans are kept, and a plan
+    at them) depends on u's grid size, h and the checkpoints only, so it
+    is built once per such triple; the last two plans are kept, and a plan
     keeps its reciprocals only when they fit 16 MB (``_INTERP_BLOCK``),
     else u is interpolated in blocks on every call.
     """
@@ -752,7 +741,7 @@ def grunwald_letnikov_residual(
     if np.any((checkpoints < 0.2 - 1e-12) | (checkpoints > 0.8 + 1e-12)):
         raise ValueError("checkpoints must lie in [0.2, 0.8]")
     g = p.g_callable()
-    plan = _residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes())
+    plan = _residual_plan(len(u.values), h, checkpoints.tobytes())
     if plan.recip is None:
         uvals = u.interpolate(plan.points)[plan.where]
     else:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from fraksolve import exprparse
 from fraksolve.exprparse import EvalDomainError
-from fraksolve.kernel import GreenParams, green_weight_integral, green_weight_integral_max
+from fraksolve.kernel import (
+    GreenParams,
+    _weight_integral_coeffs,
+    green_weight_integral,
+    green_weight_integral_max,
+)
 from fraksolve import solver as solver_module
 from fraksolve.quadrature import panel_sums, split_panels
 from fraksolve.solver import (
@@ -20,7 +25,6 @@ from fraksolve.solver import (
     ProblemSpec,
     SolutionGrid,
     _bary_matrix,
-    _bary_weights,
     apply_green_operator,
     catalog_g,
     certify_contraction,
@@ -40,6 +44,28 @@ def spec_for(g, lam=0.1, tau=1.0, **kw):
 
 def u_star(t):
     return t**2.5 * (1 - t) ** 2
+
+
+def exact_nonlinear_g(params, c):
+    """g = 1 + c (psi(u) - psi(L+(t))) with psi(v) = v/(1+sqrt v)^2, as
+    expression text.  T L = L, so the exact solution is L, the closed form
+    of the kernel's weight integral.  L rounds to about -1e-17 near t = 1,
+    so psi reads its positive part L+ = (L + |L|)/2."""
+    a, sg = params.alpha, params.sigma
+    pre, c_hi, c_mid, c_lo = _weight_integral_coeffs(params)
+    L = (f"({pre!r})*(({c_hi!r})*t^({a - sg!r}) + ({c_mid!r})*t^({a - 1.0!r})"
+         f" + ({c_lo!r})*t^({a - 2.0!r}))")
+    psi = lambda v: f"({v})/(1 + sqrt({v}))^2"
+    return f"1 + ({c!r})*({psi('u')} - {psi(f'(({L}) + abs({L}))/2')})"
+
+
+def exact_spec(params, **kw):
+    """The exact nonlinear problem at c = 0.5/N, certified with lambda = c
+    and tau = 1 (psi is concave from 0, hence subadditive); returns the
+    spec and N."""
+    n_value = green_weight_integral_max(params)[0]
+    c = 0.5 / n_value
+    return ProblemSpec(params, exact_nonlinear_g(params, c), lambda_claim=c, tau=1.0, **kw), n_value
 
 
 # --- grids and interpolation ------------------------------------------------
@@ -72,7 +98,7 @@ def test_bary_matrix_unit_rows_at_and_next_to_nodes():
     x = np.concatenate(
         [nodes, [0.0, 1.0], nodes * (1.0 + 2.0**-52), nodes * (1.0 - 2.0**-52)]
     )
-    mat = _bary_matrix(nodes, _bary_weights(33), x)
+    mat = _bary_matrix(nodes, x)
     unit = np.zeros_like(mat)
     unit[np.arange(x.size), np.abs(x[:, None] - nodes).argmin(axis=1)] = 1.0
     assert np.array_equal(mat[:35], unit[:35])  # exact hits, 0 and 1
@@ -80,19 +106,21 @@ def test_bary_matrix_unit_rows_at_and_next_to_nodes():
     np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.5])
 def test_interpolate_refuses_non_finite_points(bad):
-    # the snap to the nearest node would give the value at node 0
+    # NaN would snap to node 0, and outside [0, 1] the interpolant
+    # extrapolates silently (1.1e9 at t = 1.5 for a 33-point solution)
     grid = SolutionGrid.from_function(lambda t: 1.0 + t, 9)
     for x in (bad, np.array([0.5, bad])):
-        with pytest.raises(ValueError, match="^interpolate: x must be finite$"):
+        with pytest.raises(ValueError, match=r"^interpolate: x must lie in \[0, 1\]$"):
             grid.interpolate(x)
+    assert grid.interpolate(0.0) == 1.0 and grid.interpolate(1.0) == 2.0
 
 
 def test_interpolate_in_blocks_matches_one_matrix(monkeypatch):
     grid = SolutionGrid.from_function(lambda t: np.sin(3.0 * t), 17)
     x = np.linspace(0.0, 1.0, 1001).reshape(7, 143)
-    whole = _bary_matrix(grid.nodes, _bary_weights(17), x.ravel()) @ grid.values
+    whole = _bary_matrix(grid.nodes, x.ravel()) @ grid.values
     monkeypatch.setattr(solver_module, "_INTERP_BLOCK", 17 * 50)
     np.testing.assert_allclose(grid.interpolate(x), whole.reshape(x.shape), rtol=0.0, atol=1e-14)
 
@@ -102,13 +130,22 @@ def test_bary_matrix_rows_sum_to_one_on_operator_samples(grid, quad):
     nodes = chebyshev_lobatto_nodes(grid)
     s, _ = split_panels(GreenParams(3.05, 0.95), nodes, quad)
     assert s.shape == (grid, 2 * quad)
-    mat = _bary_matrix(nodes, _bary_weights(grid), s.ravel())
+    mat = _bary_matrix(nodes, s.ravel())
     np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
 
 
 def test_solution_grid_validation():
     with pytest.raises(ValueError):
         SolutionGrid(np.zeros(3), np.zeros(4))
+
+
+def test_solution_grid_refuses_nodes_it_cannot_weight():
+    # the barycentric weights are those of Chebyshev-Lobatto nodes; on
+    # equispaced ones the interpolant would be off by 4e-4 for sin(3t)+t^3
+    with pytest.raises(ValueError, match=r"^nodes must be chebyshev_lobatto_nodes\(len\(values\)\)$"):
+        SolutionGrid(np.linspace(0.0, 1.0, 65), np.zeros(65))
+    with pytest.raises(ValueError):
+        SolutionGrid(chebyshev_lobatto_nodes(33)[::-1], np.zeros(33))
 
 
 # --- operator ---------------------------------------------------------------
@@ -148,15 +185,16 @@ def test_apply_is_the_split_rule_for_u_independent_forcing(grid, quad):
     # one rule, one reduction: the sweep and panel_sums agree bit for bit
     op = DiscreteGreenOperator(P35, grid, quad)
     fcos = lambda s: np.cos(3.0 * np.asarray(s))
-    out = op.apply(np.linspace(0.0, 1.0, grid), lambda s, u: fcos(s), False)
+    p = spec_for(lambda s, u: fcos(s), enforce_cone=False)  # a callable reads u
+    out = op.apply(np.linspace(0.0, 1.0, grid), p)
     assert np.array_equal(out, panel_sums(split_panels(P35, op.nodes, quad), fcos))
 
 
 def test_apply_keeps_output_nodes_near_the_ends():
-    t = np.array([1e-3, 0.5, 0.999])
-    op = DiscreteGreenOperator(P35, 33, 128, out_nodes=t)
-    out = op.apply(np.zeros(33), lambda s, u: np.ones_like(s), True)
-    np.testing.assert_allclose(out, green_weight_integral(P35, t), rtol=1e-8, atol=0.0)
+    op = DiscreteGreenOperator(P35, 65, 128)
+    out = op.apply(np.zeros(33), spec_for(lambda s, u: np.ones_like(s)))
+    t = op.nodes[[1, -2]]  # 5.9e-4 from either end
+    np.testing.assert_allclose(out[[1, -2]], green_weight_integral(P35, t), rtol=1e-8, atol=0.0)
 
 
 def test_apply_rejects_mismatched_grid():
@@ -389,10 +427,10 @@ def test_nystrom_start_takes_no_more_fine_sweeps_than_interpolated_start(alpha, 
 
 
 @pytest.mark.parametrize("error", [ConeViolationError, EvalDomainError])
-@pytest.mark.parametrize("key", [(65, 96, None), (65, 96, 129)], ids=["level", "output"])
+@pytest.mark.parametrize("key", [(65, 96), (129, 96)], ids=["level", "output"])
 def test_ladder_error_propagates(monkeypatch, error, key):
     class Failing:
-        def apply(self, values, g, enforce_cone):
+        def apply(self, values, p):
             raise error("injected")
 
     p = nested_spec("1 + 40*u/(1+sqrt(u))^2")
@@ -455,18 +493,21 @@ def test_operator_cache_holds_one_ladder_per_entry():
     ladder = entries(P35, 129, 96)
     # the solve made the one entry, and it is keyed by the requested grid
     assert entries.cache_info()[:2] == (1, 1) and entries.cache_info().currsize == 1
-    # 33 -> 65 levels and the Nystrom map from 65 points to the 129 nodes
-    assert set(ladder) == {(33, 48, None), (33, 48, 65), (65, 96, None), (65, 96, 129)}
-    output = ladder[(65, 96, 129)]
-    assert "_interp" in vars(output)  # built by the solve, g reads u
-    assert output._interp.shape == (129 * 192, 65) and output.s.shape == (129, 192)
+    # the 33 -> 65 levels, each entered by the operator at its nodes with
+    # the rule of the level below, and the 129-point operator that fills
+    # the requested nodes from the 65 served ones
+    assert set(ladder) == {(33, 48), (65, 48), (65, 96), (129, 96)}
+    assert {key: set(op._maps) for key, op in ladder.items()} == {
+        (33, 48): {33}, (65, 48): {33}, (65, 96): {65}, (129, 96): {65}}
+    output = ladder[(129, 96)]  # maps built by the solve, g reads u
+    assert output._maps[65].shape == (129 * 192, 65) and output.s.shape == (129, 192)
     solve(spec_for("1", grid_points=17))
     solve(spec_for("1"))
     # two entries at most: the least recently used, the ladder, went first;
     # small grids keep one operator per entry, as before
     assert entries.cache_info()[:2] == (1, 3) and entries.cache_info().currsize == 2
-    assert list(entries(P35, 17, 48)) == [(17, 48, None)]
-    assert list(entries(P35, 33, 48)) == [(33, 48, None)]
+    assert list(entries(P35, 17, 48)) == [(17, 48)]
+    assert list(entries(P35, 33, 48)) == [(33, 48)]
     assert entries.cache_info()[:2] == (3, 3)
 
 
@@ -486,7 +527,7 @@ def test_u_free_g_builds_no_map(monkeypatch, g, grid, quad):
     applied = apply_green_operator(result.u, p)
     assert np.max(np.abs(applied.values - result.u.values)) <= 1e-8
     ops = solver_module._operators(P35, grid, quad).values()
-    assert ops and not any("_interp" in vars(op) for op in ops)
+    assert ops and not any(op._maps for op in ops)
 
 
 @pytest.mark.parametrize("grid, quad", [(33, 48), (257, 128)])
@@ -501,7 +542,7 @@ def test_u_free_g_solves_bit_for_bit_as_through_the_map(free, reading, grid, qua
     assert ((a.iterations, a.start_iterations, a.solve_grid)
             == (b.iterations, b.start_iterations, b.solve_grid))
     # the reading g went through the map of every operator it used
-    assert all("_interp" in vars(op) for op in solver_module._operators(P35, grid, quad).values())
+    assert all(op._maps for op in solver_module._operators(P35, grid, quad).values())
 
 
 def test_u_reading_solve_builds_each_map_once(monkeypatch):
@@ -514,6 +555,32 @@ def test_u_reading_solve_builds_each_map_once(monkeypatch):
     ladder = solver_module._operators(P35, 129, 96)
     assert len(built) == len(ladder) == 4
     assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 4
+    # a climb past 65 points: the 129-point operator enters its level from
+    # the 65-point values, sweeps on its own 129, and fills the requested
+    # nodes' operator from them
+    built.clear()
+    params = GreenParams(3.01, 0.9)
+    p, _ = exact_spec(params, grid_points=257, quad_points=128)
+    first = solve(p)
+    ladder = solver_module._operators(params, 257, 128)
+    assert first.solve_grid == 129
+    assert {key: set(op._maps) for key, op in ladder.items()} == {
+        (33, 48): {33}, (65, 48): {33}, (65, 128): {65}, (129, 128): {65, 129},
+        (257, 128): {129}}
+    assert len(built) == 6
+    assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 6
+
+
+def test_u_free_ladder_builds_five_operators_and_no_map():
+    # T is constant, yet the ladder climbs: 33 -> 65 -> 129 serves, and the
+    # transfer into each level above 65 points is that level's operator
+    solver_module._operators.cache_clear()
+    p = ProblemSpec(P35, "manufactured", lambda_claim=1.0, tau=1.0, grid_points=257,
+                    quad_points=128, enforce_cone=False)
+    assert solve(p).solve_grid == 129
+    ladder = solver_module._operators(P35, 257, 128)
+    assert set(ladder) == {(33, 48), (65, 48), (65, 128), (129, 128), (257, 128)}
+    assert not any(op._maps for op in ladder.values())
 
 
 @pytest.mark.parametrize("g, reads", [
@@ -734,7 +801,7 @@ RESIDUAL_SPEC = spec_for("1 + 0.1*ln(1+u)")
 
 
 def _plan_for(u, h, checkpoints):
-    return solver_module._residual_plan(u.nodes.tobytes(), h, checkpoints.tobytes())
+    return solver_module._residual_plan(len(u.values), h, checkpoints.tobytes())
 
 
 @pytest.mark.parametrize("h", [1e-3, 5e-4])
@@ -757,8 +824,12 @@ def test_residual_plan_reused_for_new_values_not_for_new_nodes():
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u2, h)
     assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 1)
     assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u2, h, checkpoints))
-    # same length, other nodes: a plan of its own
-    u3 = SolutionGrid(np.linspace(0.0, 1.0, 65), u2.values)
+    # same length, other nodes: no grid to plan for, as the plan holds
+    # Chebyshev-Lobatto weights
+    with pytest.raises(ValueError, match="chebyshev_lobatto_nodes"):
+        SolutionGrid(np.linspace(0.0, 1.0, 65), u2.values)
+    # another size: a plan of its own
+    u3 = SolutionGrid.from_function(u_star, 33)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u3, h)
     assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 2)
     assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u3, h, checkpoints))
@@ -782,6 +853,40 @@ def test_residual_plan_cache_holds_two_grids():
     for m in (33, 65, 33):
         grunwald_letnikov_residual(RESIDUAL_SPEC, grids[m], 1e-3)
     assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 2)
+
+# --- exact nonlinear problem -----------------------------------------------
+
+# 1,401 points: 1,201 uniform ones and 100 geometric ones within 1e-2 of
+# either end, down to 1e-6
+_ENDS = np.geomspace(1e-6, 1e-2, 100)
+OFF_NODE = np.concatenate([np.linspace(0.0, 1.0, 1201), _ENDS, 1.0 - _ENDS])
+
+
+@pytest.mark.parametrize("alpha", [3.01, 3.5, 4.0])
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
+def test_exact_nonlinear_problem_on_33_points(alpha, sigma):
+    params = GreenParams(alpha, sigma)
+    p, n_value = exact_spec(params, tol=1e-14)
+    u = solve(p).u
+    # measured max 1.2e-8 N, at (3.01, 0.9)
+    assert np.max(np.abs(u.values - green_weight_integral(params, u.nodes))) <= 1e-7 * n_value
+    # between nodes the t^(alpha-2) profile at 0 slows barycentric
+    # interpolation in t: a measured bound (max 6.6e-5 N) until the
+    # graded collocation grid closes the gap
+    off = np.abs(u.interpolate(OFF_NODE) - green_weight_integral(params, OFF_NODE))
+    assert np.max(off) <= 1e-4 * n_value
+
+
+@pytest.mark.parametrize("alpha, sigma, served", [(3.01, 0.9, 129), (3.5, 0.5, 65)])
+def test_exact_nonlinear_problem_on_the_ladder(alpha, sigma, served):
+    # measured 1.2e-9 N and 1.2e-10 N
+    params = GreenParams(alpha, sigma)
+    p, n_value = exact_spec(params, grid_points=257, quad_points=128)
+    result = solve(p)
+    assert result.solve_grid == served
+    err = np.max(np.abs(result.u.values - green_weight_integral(params, result.u.nodes)))
+    assert err <= 1e-8 * n_value
+
 
 # --- integrate_green agreement (vectorized path vs scalar path) -------------
 
