@@ -38,11 +38,13 @@ REFERENCE_COMMANDS = (
     f"solve {_README_G} --grid 257 --quad 128 --out out",
     f"solve {_SIGNED} --grid 257 --quad 128 --out out",
     f"solve {_SIGNED} --grid 65 --quad 64 --out out",
+    f"solve {_SIGNED} --grid 1024 --quad 64 --out out",  # u-free g on the largest grid
     "solve --alpha 3.5 --sigma 0.5 --g unit --lambda 1 --tau 1 --grid 257 --quad 128 --out out",
     'solve --alpha 3.5 --sigma 0.5 --g "1+t^2" --lambda 1 --tau 1 --grid 129 --quad 64 --out out',
     f"solve --alpha 3.3 --sigma 0.3 {_LADDER_G} --grid 513 --quad 128 --out out",
     f"solve --alpha 3.5 --sigma 0.5 {_LADDER_G} --grid 1024 --quad 64 --out out",
     f"solve {_README_G} --h 1e-4 --out out",
+    f"solve {_README_G} --h 3e-3 --format json --out out",  # off-lattice stencil, JSON copies
     'solve --alpha 3.5 --sigma 0.5 --g "0.1*u - 1" --lambda 2 --tau 1 --out out',  # 1: cone
     'solve --alpha 3.5 --sigma 0.5 --g "sqrt(u-1)" --lambda 1 --tau 1 --out out',  # 1: domain
     f"solve {_README_G} --no-such-flag --out out",  # 1: usage

@@ -9,8 +9,9 @@ there is one implementation of the split rule.
 
 Rules come from the three-term recurrence of the Jacobi-type orthogonal
 polynomials by the Golub-Welsch method: LAPACK's symmetric eigensolver,
-through numpy, diagonalizes the tridiagonal recurrence matrix.  Rules
-are cached per (size, exponents) and shared read-only.
+through numpy, diagonalizes the tridiagonal recurrence matrix.  The 64
+most recently used rules are cached per (size, exponents) and shared
+read-only.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ class QuadRule(NamedTuple):
     weights: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)  # a sweep over fresh sigma must not grow it
 def _jacobi01(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [0, 1] for the weight x^b (1-x)^a, a, b > -1,
-    built once per (n, a, b); every caller shares the same read-only
-    arrays.
+    """Nodes and weights on [0, 1] for the weight x^b (1-x)^a, a, b > -1;
+    the 64 most recently used (n, a, b) are kept, and every caller
+    shares a kept rule's read-only arrays.
 
     Golub-Welsch (Math. Comp. 23, 1969): the recurrence coefficients of
     the Jacobi polynomials fill a symmetric tridiagonal matrix whose

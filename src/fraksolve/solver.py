@@ -525,18 +525,20 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
 
     Refuses to iterate when the contraction certificate fails, unless
     ``uncertified`` is set.  Without ``u0``, grids of 129 points or more
-    climb from zero on 33 points (rule of at most 48 points) through 65,
-    129, ... points; each level starts from one Nystrom step, the
-    operator at its nodes with the level below's rule applied to the
-    level below's solution (Atkinson 1997, section 4.1).  The first level
-    above 33 points whose first delta is <= tol serves: one more step
-    fills the requested nodes, and ``trace`` and ``iterations`` count
-    that level's sweeps.  A ``u0`` solve, or a smaller grid (from zero),
-    is a one-level ladder.  The limit is the
-    unique fixed point either way.  ``max_iters`` is a budget per level,
-    not for the whole ladder.  An error on any level ends the solve;
-    NonConvergenceError carries the deltas and the grid size of the level
-    whose max_iters sweeps did not reach tol.
+    whose g reads u climb from zero on 33 points (rule of at most 48
+    points) through 65, 129, ... points; each level starts from one
+    Nystrom step, the operator at its nodes with the level below's rule
+    applied to the level below's solution (Atkinson 1997, section 4.1).
+    The first level above 33 points whose first delta is <= tol serves:
+    one more step fills the requested nodes, and ``trace`` and
+    ``iterations`` count that level's sweeps.  A ``u0`` solve, a smaller
+    grid (from zero), or a g that does not read u (T is constant: the
+    first sweep is the answer, the second sees delta 0) is a one-level
+    ladder.  The limit is the unique fixed point either way.
+    ``max_iters`` is a budget per level, not for the whole ladder.  An
+    error on any level ends the solve; NonConvergenceError carries the
+    deltas and the grid size of the level whose max_iters sweeps did not
+    reach tol.
     """
     certificate = None
     if not uncertified:
@@ -547,7 +549,8 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
     entry = _operators(p.params, m, n)
     if u0 is not None and len(u0.values) != m:
         raise ValueError("u0 grid does not match ProblemSpec.grid_points")
-    grid, quad = (33, min(48, n)) if u0 is None and m >= _LADDER_MIN_GRID else (m, n)
+    climb = u0 is None and m >= _LADDER_MIN_GRID and p.g_reads_u()
+    grid, quad = (33, min(48, n)) if climb else (m, n)
     u, below = (np.zeros(grid) if u0 is None else u0.values), 0
     while True:
         u, deltas = _picard(_operator(entry, p.params, grid, quad), u, p)
@@ -671,17 +674,19 @@ class _ResidualPlan:
     recip: tuple[np.ndarray, np.ndarray] | None
 
 
-# The GL stencil's shift round(alpha/2) is 2 for every alpha in (3, 4],
-# as alpha/2 lies in (1.5, 2]; the farthest shifted sample, a checkpoint
+# The oracle's checkpoints: 13 interior points in [0.2, 0.8].  The GL
+# stencil's shift round(alpha/2) is 2 for every alpha in (3, 4], as
+# alpha/2 lies in (1.5, 2]; the farthest shifted sample, a checkpoint
 # <= 0.8 plus 2h with h <= 1e-2 (check_residual_step), stays below 1.
+_CHECKPOINTS = np.linspace(0.2, 0.8, 13)
+_CHECKPOINTS.flags.writeable = False
 _GL_SHIFT = 2
 
 
 @functools.lru_cache(maxsize=2)  # sweep_cold alternates two grids
-def _residual_plan(m: int, h: float, checkpoints: bytes) -> _ResidualPlan:
-    """The stencil plan for u on m nodes; the checkpoints are raw float64
-    bytes so the array can key the cache."""
-    t = np.frombuffer(checkpoints)
+def _residual_plan(m: int, h: float) -> _ResidualPlan:
+    """The stencil plan at ``_CHECKPOINTS`` for u on m nodes."""
+    t = _CHECKPOINTS
     terms = np.floor(t / h + 1e-9).astype(int) + 1 + _GL_SHIFT
     ends = np.cumsum(terms)
     j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
@@ -698,25 +703,9 @@ def _residual_plan(m: int, h: float, checkpoints: bytes) -> _ResidualPlan:
     return _ResidualPlan(terms, ends, j, points, where, recip)
 
 
-def _checkpoint_array(checkpoints) -> np.ndarray:
-    """checkpoints as a float array, or ValueError unless they form a
-    non-empty 1-d array of finite numbers."""
-    try:
-        arr = np.asarray(checkpoints, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise ValueError("checkpoints must be a non-empty 1-d array of finite numbers")
-    return arr
-
-
-def grunwald_letnikov_residual(
-    p: ProblemSpec,
-    u: SolutionGrid,
-    h: float,
-    checkpoints: np.ndarray | None = None,
-) -> ResidualProfile:
-    """|D^alpha u(t) - t^(-sigma) g(t, u(t))| at interior checkpoints.
+def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> ResidualProfile:
+    """|D^alpha u(t) - t^(-sigma) g(t, u(t))| at 13 checkpoints t in
+    [0.2, 0.8].
 
     D^alpha is approximated by the shifted Grunwald-Letnikov sum
     h^(-alpha) sum_j (-1)^j binom(alpha, j) u(t - (j - shift) h), first
@@ -728,20 +717,15 @@ def grunwald_letnikov_residual(
     All checkpoints' stencils are evaluated together: one interpolation
     of u over the distinct stencil points and checkpoints, one vector call
     of g.  The stencil plan (the points, and the barycentric reciprocals
-    at them) depends on u's grid size, h and the checkpoints only, so it
-    is built once per such triple; the last two plans are kept, and a plan
-    keeps its reciprocals only when they fit 16 MB (``_INTERP_BLOCK``),
-    else u is interpolated in blocks on every call.
+    at them) depends on u's grid size and h only, so it is built once per
+    (grid size, h); the last two plans are kept, and a plan keeps its
+    reciprocals only when they fit 16 MB (``_INTERP_BLOCK``), else u is
+    interpolated in blocks on every call.
     """
     check_residual_step(h)
     a, sg = p.params.alpha, p.params.sigma
-    if checkpoints is None:
-        checkpoints = np.linspace(0.2, 0.8, 13)
-    checkpoints = _checkpoint_array(checkpoints)
-    if np.any((checkpoints < 0.2 - 1e-12) | (checkpoints > 0.8 + 1e-12)):
-        raise ValueError("checkpoints must lie in [0.2, 0.8]")
     g = p.g_callable()
-    plan = _residual_plan(len(u.values), h, checkpoints.tobytes())
+    plan = _residual_plan(len(u.values), h)
     if plan.recip is None:
         uvals = u.interpolate(plan.points)[plan.where]
     else:
@@ -757,7 +741,8 @@ def grunwald_letnikov_residual(
     running = np.cumsum(c[plan.j] * u_stencil)
     scale = h ** (-a)
     gl = scale * np.diff(running[plan.ends - 1], prepend=0.0)
-    rhs = checkpoints ** (-sg) * np.asarray(g(checkpoints, u_t), dtype=float)
+    t = _CHECKPOINTS
+    rhs = t ** (-sg) * np.asarray(g(t, u_t), dtype=float)
     floor = (np.finfo(float).eps * np.cumsum(np.abs(c))[plan.terms - 1]
              * scale * np.max(np.abs(u.values)))
-    return ResidualProfile(checkpoints, np.abs(gl - rhs), h, floor)
+    return ResidualProfile(t, np.abs(gl - rhs), h, floor)

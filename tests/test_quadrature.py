@@ -90,6 +90,18 @@ def test_cache_shares_read_only_rule():
         first[0] = 0.0  # read-only
 
 
+def test_cache_is_bounded_over_fresh_sigma():
+    maxsize = _jacobi01.cache_info().maxsize
+    assert maxsize == 64
+    sigmas = 0.4321 + 1e-7 * np.arange(maxsize + 20)  # none of them used elsewhere
+    for sg in sigmas:
+        jacobi_rule(4, float(sg))
+    assert _jacobi01.cache_info().currsize == maxsize
+    hits = _jacobi01.cache_info().hits
+    jacobi_rule(4, float(sigmas[-1]))  # the latest rule is kept
+    assert _jacobi01.cache_info().hits == hits + 1
+
+
 def test_integrate_green_zero_forcing():
     p = GreenParams(3.5, 0.5)
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))

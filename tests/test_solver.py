@@ -265,10 +265,13 @@ def test_certificate_gate_blocks_solve():
 
 
 def test_constant_map_converges_in_one_extra_sweep():
-    p = spec_for("manufactured", enforce_cone=False)
-    result = solve(p)
-    assert result.iterations == 2
-    assert result.trace[-1] == 0.0
+    # a g that does not read u makes T constant: one level on the requested
+    # grid, whatever its size
+    for grid, quad in ((33, 48), (257, 128)):
+        p = spec_for("manufactured", enforce_cone=False, grid_points=grid, quad_points=quad)
+        result = solve(p)
+        assert (result.iterations, result.start_iterations, result.solve_grid) == (2, 0, grid)
+        assert result.trace[-1] == 0.0
 
 
 def test_solve_matches_manufactured_solution():
@@ -362,10 +365,13 @@ def test_nested_start_reaches_the_zero_start_fixed_point_in_fewer_sweeps():
 
 
 def test_nested_start_bit_identical_for_u_independent_forcing():
+    # no ladder for a g that does not read u: the solve is the zero-start
+    # one on the requested grid
     p = nested_spec("manufactured", enforce_cone=False)
-    nested = solve(p)
-    assert nested.start_iterations > 0
-    assert np.array_equal(nested.u.values, solve(p, u0=SolutionGrid.zeros(129)).u.values)
+    nested, direct = solve(p), solve(p, u0=SolutionGrid.zeros(129))
+    assert (nested.start_iterations, nested.solve_grid) == (0, 129)
+    assert np.array_equal(nested.u.values, direct.u.values)
+    assert np.array_equal(nested.trace, direct.trace)
 
 
 def test_small_grid_starts_from_zero():
@@ -538,9 +544,13 @@ def test_u_free_g_solves_bit_for_bit_as_through_the_map(free, reading, grid, qua
             for g in (free, reading))
     assert not spec_for(free).g_reads_u() and spec_for(reading).g_reads_u()
     assert a.u.values.tobytes() == b.u.values.tobytes()
-    assert a.trace.tobytes() == b.trace.tobytes()
-    assert ((a.iterations, a.start_iterations, a.solve_grid)
-            == (b.iterations, b.start_iterations, b.solve_grid))
+    if grid < 129:
+        assert a.trace.tobytes() == b.trace.tobytes()
+        assert ((a.iterations, a.start_iterations, a.solve_grid)
+                == (b.iterations, b.start_iterations, b.solve_grid))
+    else:  # only the reading g climbs the ladder
+        assert (a.iterations, a.start_iterations, a.solve_grid) == (2, 0, grid)
+        assert b.start_iterations > 0 and a.trace[-1] == 0.0
     # the reading g went through the map of every operator it used
     assert all(op._maps for op in solver_module._operators(P35, grid, quad).values())
 
@@ -571,16 +581,15 @@ def test_u_reading_solve_builds_each_map_once(monkeypatch):
     assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 6
 
 
-def test_u_free_ladder_builds_five_operators_and_no_map():
-    # T is constant, yet the ladder climbs: 33 -> 65 -> 129 serves, and the
-    # transfer into each level above 65 points is that level's operator
+def test_u_free_solve_builds_one_operator_and_no_map():
+    # T is constant, so no ladder: the requested grid's operator alone
     solver_module._operators.cache_clear()
     p = ProblemSpec(P35, "manufactured", lambda_claim=1.0, tau=1.0, grid_points=257,
                     quad_points=128, enforce_cone=False)
-    assert solve(p).solve_grid == 129
+    assert solve(p).solve_grid == 257
     ladder = solver_module._operators(P35, 257, 128)
-    assert set(ladder) == {(33, 48), (65, 48), (65, 128), (129, 128), (257, 128)}
-    assert not any(op._maps for op in ladder.values())
+    assert set(ladder) == {(257, 128)}
+    assert not ladder[(257, 128)]._maps
 
 
 @pytest.mark.parametrize("g, reads", [
@@ -713,7 +722,15 @@ def test_residual_manufactured_first_order():
     assert 0.4 * prof1.max() <= prof2.max() <= 0.6 * prof1.max()
 
 
-def _residual_loop(p, u, h, checkpoints):
+# the oracle's checkpoints, spelled out independently of the solver's constant
+CHECKPOINTS = np.linspace(0.2, 0.8, 13)
+
+# at 1e-3 and 5e-4 all checkpoints lie on one stencil lattice; 3e-3 and
+# 7e-4 are off-lattice steps (0.05/h is no integer), where they do not
+RESIDUAL_STEPS = [1e-3, 5e-4, 3e-3, 7e-4]
+
+
+def _residual_loop(p, u, h):
     """Per-checkpoint reference for the residual oracle: coefficients by
     the recurrence, an exactly rounded GL sum, scalar g.  Also returns
     each sum's roundoff floor eps * sum|c_j| * h^(-alpha) * max|u|."""
@@ -721,7 +738,7 @@ def _residual_loop(p, u, h, checkpoints):
     shift = int(round(a / 2.0))
     g = p.g_callable()
     res, floor = [], []
-    for t in checkpoints:
+    for t in CHECKPOINTS:
         terms = int(np.floor(t / h + 1e-9)) + 1 + shift
         c = np.empty(terms)
         c[0] = 1.0
@@ -735,19 +752,18 @@ def _residual_loop(p, u, h, checkpoints):
     return np.array(res), np.array(floor)
 
 
-@pytest.mark.parametrize("h", [1e-3, 5e-4])
+@pytest.mark.parametrize("h", RESIDUAL_STEPS)
 @pytest.mark.parametrize("g", ["manufactured", "1 + 0.1*ln(1+u)"])
 def test_residual_matches_per_checkpoint_loop(g, h):
-    off_lattice = np.array([0.2 + 1e-7, 0.3141592653589793, 0.5 + h / 3.0, 0.8 - 0.71 * h])
     for alpha, sigma in ((3.05, 0.05), (3.5, 0.5), (4.0, 0.95)):
         p = ProblemSpec(GreenParams(alpha, sigma), g, lambda_claim=0.1, tau=1.0,
                         enforce_cone=g != "manufactured")
         u = solve(p, uncertified=True).u
-        for checkpoints in (np.linspace(0.2, 0.8, 13), off_lattice):
-            prof = grunwald_letnikov_residual(p, u, h, checkpoints=checkpoints)
-            ref, floor = _residual_loop(p, u, h, checkpoints)
-            assert np.all(np.abs(prof.residuals - ref) <= floor)
-            np.testing.assert_allclose(prof.floor, floor, rtol=1e-12)
+        prof = grunwald_letnikov_residual(p, u, h)
+        ref, floor = _residual_loop(p, u, h)
+        assert np.array_equal(prof.checkpoints, CHECKPOINTS)
+        assert np.all(np.abs(prof.residuals - ref) <= floor)
+        np.testing.assert_allclose(prof.floor, floor, rtol=1e-12)
 
 
 def test_residual_step_bounds():
@@ -757,25 +773,16 @@ def test_residual_step_bounds():
         grunwald_letnikov_residual(p, u, 1e-5)
     with pytest.raises(ValueError):
         grunwald_letnikov_residual(p, u, 0.5)
-    with pytest.raises(ValueError):
-        grunwald_letnikov_residual(p, u, 1e-3, checkpoints=np.array([0.05]))
-
-
-
-@pytest.mark.parametrize("checkpoints", [[0.5, np.nan], [], [[0.3, 0.4]]])
-def test_residual_rejects_malformed_checkpoints(checkpoints):
-    p = spec_for("0")
-    with pytest.raises(ValueError, match="non-empty 1-d array of finite numbers"):
-        grunwald_letnikov_residual(p, SolutionGrid.zeros(33), 1e-3, checkpoints=checkpoints)
 
 
 # --- residual stencil plan --------------------------------------------------
 
 
-def _residual_uncached(p, u, h, checkpoints):
+def _residual_uncached(p, u, h):
     """The oracle without a plan: u.interpolate over the distinct stencil
     points, then the same sums in the same order."""
     a, sg = p.params.alpha, p.params.sigma
+    checkpoints = CHECKPOINTS
     shift = int(round(a / 2.0))
     terms = np.floor(checkpoints / h + 1e-9).astype(int) + 1 + shift
     ends = np.cumsum(terms)
@@ -792,38 +799,30 @@ def _residual_uncached(p, u, h, checkpoints):
     return np.abs(gl - checkpoints ** (-sg) * g)
 
 
-def _checkpoint_sets(h):
-    off_lattice = np.array([0.2 + 1e-7, 0.3141592653589793, 0.5 + h / 3.0, 0.8 - 0.71 * h])
-    return np.linspace(0.2, 0.8, 13), off_lattice
-
-
 RESIDUAL_SPEC = spec_for("1 + 0.1*ln(1+u)")
 
 
-def _plan_for(u, h, checkpoints):
-    return solver_module._residual_plan(len(u.values), h, checkpoints.tobytes())
-
-
-@pytest.mark.parametrize("h", [1e-3, 5e-4])
+@pytest.mark.parametrize("h", RESIDUAL_STEPS)
 @pytest.mark.parametrize("m", [33, 65, 257])
 def test_residual_plan_matches_uncached_bit_for_bit(m, h):
     u = SolutionGrid.from_function(u_star, m)
-    for checkpoints in _checkpoint_sets(h):
-        prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h, checkpoints=checkpoints)
-        assert _plan_for(u, h, checkpoints).recip is not None
-        assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h, checkpoints))
+    prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h)
+    # off lattice, neighbouring stencils share few points: 8,930 distinct
+    # ones at h = 7e-4 exceed one block on 257 nodes
+    assert (solver_module._residual_plan(m, h).recip is None) == ((m, h) == (257, 7e-4))
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h))
 
 
 def test_residual_plan_reused_for_new_values_not_for_new_nodes():
     plan = solver_module._residual_plan
     plan.cache_clear()
-    h, checkpoints = 1e-3, np.linspace(0.2, 0.8, 13)
+    h = 1e-3
     u1 = SolutionGrid.from_function(u_star, 65)
     grunwald_letnikov_residual(RESIDUAL_SPEC, u1, h)
     u2 = SolutionGrid(u1.nodes, np.sin(np.pi * u1.nodes) ** 2)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u2, h)
     assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 1)
-    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u2, h, checkpoints))
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u2, h))
     # same length, other nodes: no grid to plan for, as the plan holds
     # Chebyshev-Lobatto weights
     with pytest.raises(ValueError, match="chebyshev_lobatto_nodes"):
@@ -832,17 +831,22 @@ def test_residual_plan_reused_for_new_values_not_for_new_nodes():
     u3 = SolutionGrid.from_function(u_star, 33)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u3, h)
     assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 2)
-    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u3, h, checkpoints))
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u3, h))
+    # another step on the same size: a plan of its own
+    prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u3, 7e-4)
+    assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 3)
+    assert plan(33, 7e-4) is not plan(33, h)
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u3, 7e-4))
 
 
 def test_residual_plan_without_reciprocals_past_one_block():
-    h, checkpoints = 1e-4, np.linspace(0.2, 0.8, 13)
+    h = 1e-4
     u = SolutionGrid.from_function(u_star, 257)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h)
-    plan = _plan_for(u, h, checkpoints)
+    plan = solver_module._residual_plan(257, h)
     assert plan.recip is None
     assert plan.points.size * 257 > solver_module._INTERP_BLOCK
-    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h, checkpoints))
+    assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h))
 
 
 def test_residual_plan_cache_holds_two_grids():
