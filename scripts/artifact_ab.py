@@ -10,8 +10,9 @@ process with that side's ``src`` first on ``PYTHONPATH``, in a temporary
 working directory of its own.  Commands write to ``--out out``, so the
 paths they print match.  The exit code, stdout, stderr and every file
 under ``out`` are compared byte for byte.  One line per command says
-``same``, or names the first difference: the exit codes, or the first
-differing output and byte offset.  The exit status is 1 on any
+``same`` or ``differs``; under a differing one, an indented line names
+each difference: the exit codes, then every differing output with the
+byte offset where it starts to differ.  The exit status is 1 on any
 difference.
 """
 
@@ -44,6 +45,8 @@ REFERENCE_COMMANDS = (
     f"solve --alpha 3.3 --sigma 0.3 {_LADDER_G} --grid 513 --quad 128 --out out",
     f"solve --alpha 3.5 --sigma 0.5 {_LADDER_G} --grid 1024 --quad 64 --out out",
     f"solve {_README_G} --h 1e-4 --out out",
+    f"solve {_README_G} --grid 257 --quad 128 --h 7e-4 --out out",  # off-lattice step
+    f"solve {_README_G} --grid 257 --quad 128 --h 1e-4 --out out",
     f"solve {_README_G} --h 3e-3 --format json --out out",  # off-lattice stencil, JSON copies
     'solve --alpha 3.5 --sigma 0.5 --g "0.1*u - 1" --lambda 2 --tau 1 --out out',  # 1: cone
     'solve --alpha 3.5 --sigma 0.5 --g "sqrt(u-1)" --lambda 1 --tau 1 --out out',  # 1: domain
@@ -69,20 +72,19 @@ class Run(NamedTuple):
     outputs: dict[str, bytes]
 
 
-def first_difference(base: Run, new: Run) -> str:
-    """``same``, or the first difference of two runs: the exit codes, an
-    output only one side has, or the first differing output (by name) and
-    the byte offset where it starts to differ."""
-    if base.code != new.code:
-        return f"exit code {base.code} -> {new.code}"
+def differences(base: Run, new: Run) -> list[str]:
+    """Every difference of two runs, none when they are the same: the exit
+    codes, then by name each output only one side has, or that differs,
+    with the byte offset where it starts to differ."""
+    found = [f"exit code {base.code} -> {new.code}"] if base.code != new.code else []
     for name in sorted(base.outputs.keys() | new.outputs.keys()):
         a, b = base.outputs.get(name), new.outputs.get(name)
         if a is None or b is None:
-            return f"{name}: only on the {'revision' if b is None else 'change'} side"
-        if a != b:
+            found.append(f"{name}: only on the {'revision' if b is None else 'change'} side")
+        elif a != b:
             offset = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-            return f"{name}: differs from byte {offset}"
-    return "same"
+            found.append(f"{name}: differs from byte {offset}")
+    return found
 
 
 def run_command(root: Path, command: str) -> Run:
@@ -113,9 +115,12 @@ def main(argv=None) -> int:
         _unpack(args.rev, base_root)
         for command in REFERENCE_COMMANDS:
             base, new = run_command(base_root, command), run_command(ROOT, command)
-            verdict = first_difference(base, new)
-            differ += verdict != "same"
-            print(f"{verdict:<40} exit {new.code}  fraksolve {command}", flush=True)
+            found = differences(base, new)
+            differ += bool(found)
+            print(f"{'differs' if found else 'same':<8} exit {new.code}  fraksolve {command}")
+            for line in found:
+                print(f"    {line}")
+            sys.stdout.flush()
     print(f"{len(REFERENCE_COMMANDS) - differ} of {len(REFERENCE_COMMANDS)} commands same")
     return 1 if differ else 0
 

@@ -628,9 +628,10 @@ def check_positivity(p: ProblemSpec, u: SolutionGrid, seed: int = 0) -> Positivi
 
 @dataclass
 class ResidualProfile:
-    """Residual per checkpoint, and ``floor``, the roundoff the
-    checkpoint's GL sum can carry: eps * sum_{j<terms} |c_j| * h^(-alpha)
-    * max|u|.  A residual near its floor says nothing about the solution."""
+    """Residual per checkpoint (the multiples of h nearest
+    ``_CHECKPOINTS``), and ``floor``, the roundoff the checkpoint's GL
+    sum can carry: eps * sum_{j<terms} |c_j| * h^(-alpha) * max|u|.  A
+    residual near its floor says nothing about the solution."""
 
     checkpoints: np.ndarray
     residuals: np.ndarray
@@ -658,26 +659,23 @@ def _gl_coeffs(alpha: float, count: int) -> np.ndarray:
 class _ResidualPlan:
     """The u-independent part of the residual oracle.
 
-    ``terms`` counts each checkpoint's stencil and ``ends`` is its running
-    total; ``j`` is the coefficient index of every stencil entry,
-    ``points`` the distinct stencil points and checkpoints, and
-    ``points[where]`` the stencil entries followed by the checkpoints.
-    ``recip`` is ``_bary_reciprocals`` at ``points`` when it fits one
-    ``_INTERP_BLOCK``, else None.
+    Checkpoint k sits at lattice index ``at[k]`` of h * arange(at[-1] + 3);
+    its stencil has at[k] + 3 entries.  ``j`` is the coefficient index of
+    every stencil entry and ``idx`` its lattice index, at[k] + 2 - j.
+    ``recip`` is ``_bary_reciprocals`` at the lattice.
     """
 
-    terms: np.ndarray
-    ends: np.ndarray
+    at: np.ndarray
     j: np.ndarray
-    points: np.ndarray
-    where: np.ndarray
-    recip: tuple[np.ndarray, np.ndarray] | None
+    idx: np.ndarray
+    recip: tuple[np.ndarray, np.ndarray]
 
 
-# The oracle's checkpoints: 13 interior points in [0.2, 0.8].  The GL
-# stencil's shift round(alpha/2) is 2 for every alpha in (3, 4], as
-# alpha/2 lies in (1.5, 2]; the farthest shifted sample, a checkpoint
-# <= 0.8 plus 2h with h <= 1e-2 (check_residual_step), stays below 1.
+# The oracle's checkpoints: 13 interior points in [0.2, 0.8], each taken
+# at the nearest multiple of h, so all stencils are runs of one lattice.
+# The GL stencil's shift round(alpha/2) is 2 for every alpha in (3, 4],
+# as alpha/2 lies in (1.5, 2]; the farthest shifted sample, 0.8 + 2.5h
+# with h <= 1e-2 (check_residual_step), stays below 1.
 _CHECKPOINTS = np.linspace(0.2, 0.8, 13)
 _CHECKPOINTS.flags.writeable = False
 _GL_SHIFT = 2
@@ -686,26 +684,20 @@ _GL_SHIFT = 2
 @functools.lru_cache(maxsize=2)  # sweep_cold alternates two grids
 def _residual_plan(m: int, h: float) -> _ResidualPlan:
     """The stencil plan at ``_CHECKPOINTS`` for u on m nodes."""
-    t = _CHECKPOINTS
-    terms = np.floor(t / h + 1e-9).astype(int) + 1 + _GL_SHIFT
+    at = np.rint(_CHECKPOINTS / h).astype(int)
+    terms = at + 1 + _GL_SHIFT
     ends = np.cumsum(terms)
     j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
-    stencil = np.repeat(t, terms) - h * (j - _GL_SHIFT)
-    # neighbouring checkpoints' stencils share most of their points;
-    # each distinct point is interpolated once
-    points, where = np.unique(np.concatenate([np.clip(stencil, 0.0, 1.0), t]),
-                              return_inverse=True)
-    recip = None
-    if points.size <= _INTERP_BLOCK // m:
-        recip = _bary_reciprocals(chebyshev_lobatto_nodes(m), points)
-    for arr in (terms, ends, j, points, where, *(recip or ())):
+    idx = np.repeat(at + _GL_SHIFT, terms) - j
+    recip = _bary_reciprocals(chebyshev_lobatto_nodes(m), h * np.arange(terms[-1]))
+    for arr in (at, j, idx, *recip):
         arr.flags.writeable = False  # every later call shares them
-    return _ResidualPlan(terms, ends, j, points, where, recip)
+    return _ResidualPlan(at, j, idx, recip)
 
 
 def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> ResidualProfile:
     """|D^alpha u(t) - t^(-sigma) g(t, u(t))| at 13 checkpoints t in
-    [0.2, 0.8].
+    [0.2, 0.8], each the nearest multiple of h to ``_CHECKPOINTS``.
 
     D^alpha is approximated by the shifted Grunwald-Letnikov sum
     h^(-alpha) sum_j (-1)^j binom(alpha, j) u(t - (j - shift) h), first
@@ -714,35 +706,30 @@ def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> Res
     coefficient alpha/2 itself, several times larger.  Entirely
     independent of the Green-kernel quadrature pipeline.
 
-    All checkpoints' stencils are evaluated together: one interpolation
-    of u over the distinct stencil points and checkpoints, one vector call
-    of g.  The stencil plan (the points, and the barycentric reciprocals
-    at them) depends on u's grid size and h only, so it is built once per
-    (grid size, h); the last two plans are kept, and a plan keeps its
-    reciprocals only when they fit 16 MB (``_INTERP_BLOCK``), else u is
-    interpolated in blocks on every call.
+    Every stencil point and checkpoint lies on the lattice
+    h * arange(rint(0.8/h) + 3), at most 8,003 points: one interpolation
+    of u there, one vector call of g.  The stencil plan (the lattice
+    indices, and the barycentric reciprocals at the lattice) depends on
+    u's grid size and h only, so it is built once per (grid size, h); the
+    last two plans are kept, at most 8,003 * m doubles each.
     """
     check_residual_step(h)
     a, sg = p.params.alpha, p.params.sigma
     g = p.g_callable()
     plan = _residual_plan(len(u.values), h)
-    if plan.recip is None:
-        uvals = u.interpolate(plan.points)[plan.where]
-    else:
-        mat, rowsum = plan.recip
-        uvals = ((mat @ u.values) / rowsum)[plan.where]
-    n_stencil = plan.j.size
-    u_stencil, u_t = uvals[:n_stencil], uvals[n_stencil:]
+    mat, rowsum = plan.recip
+    lattice = (mat @ u.values) / rowsum
+    terms = plan.at + 1 + _GL_SHIFT
     # Each stencil's sum cancels from terms of size |u| down to about
     # h^alpha |D^alpha u| within its first few terms.  A running sum in
     # stencil order rounds against those small partial sums; blocked sums
     # such as np.dot or pairwise reduction round several times worse.
-    c = _gl_coeffs(a, int(plan.terms.max()))
-    running = np.cumsum(c[plan.j] * u_stencil)
+    c = _gl_coeffs(a, int(terms[-1]))
+    running = np.cumsum(c[plan.j] * lattice[plan.idx])
     scale = h ** (-a)
-    gl = scale * np.diff(running[plan.ends - 1], prepend=0.0)
-    t = _CHECKPOINTS
-    rhs = t ** (-sg) * np.asarray(g(t, u_t), dtype=float)
-    floor = (np.finfo(float).eps * np.cumsum(np.abs(c))[plan.terms - 1]
+    gl = scale * np.diff(running[np.cumsum(terms) - 1], prepend=0.0)
+    t = h * plan.at
+    rhs = t ** (-sg) * np.asarray(g(t, lattice[plan.at]), dtype=float)
+    floor = (np.finfo(float).eps * np.cumsum(np.abs(c))[terms - 1]
              * scale * np.max(np.abs(u.values)))
     return ResidualProfile(t, np.abs(gl - rhs), h, floor)

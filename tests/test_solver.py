@@ -725,8 +725,9 @@ def test_residual_manufactured_first_order():
 # the oracle's checkpoints, spelled out independently of the solver's constant
 CHECKPOINTS = np.linspace(0.2, 0.8, 13)
 
-# at 1e-3 and 5e-4 all checkpoints lie on one stencil lattice; 3e-3 and
-# 7e-4 are off-lattice steps (0.05/h is no integer), where they do not
+# at 1e-3 and 5e-4 every checkpoint is a multiple of h; 3e-3 and 7e-4
+# are off-lattice steps (0.05/h is no integer), where the oracle moves
+# each checkpoint to the nearest multiple of h
 RESIDUAL_STEPS = [1e-3, 5e-4, 3e-3, 7e-4]
 
 
@@ -738,13 +739,14 @@ def _residual_loop(p, u, h):
     shift = int(round(a / 2.0))
     g = p.g_callable()
     res, floor = [], []
-    for t in CHECKPOINTS:
-        terms = int(np.floor(t / h + 1e-9)) + 1 + shift
+    for at in np.rint(CHECKPOINTS / h).astype(int):
+        t = h * at
+        terms = at + 1 + shift
         c = np.empty(terms)
         c[0] = 1.0
         for k in range(1, terms):
             c[k] = c[k - 1] * (k - 1.0 - a) / k
-        uvals = u.interpolate(np.clip(t - h * (np.arange(terms) - shift), 0.0, 1.0))
+        uvals = u.interpolate(t - h * (np.arange(terms) - shift))
         gl = h ** (-a) * math.fsum(c * uvals)
         rhs = t ** (-sg) * float(np.asarray(g(t, u.interpolate(t))))
         res.append(abs(gl - rhs))
@@ -761,7 +763,7 @@ def test_residual_matches_per_checkpoint_loop(g, h):
         u = solve(p, uncertified=True).u
         prof = grunwald_letnikov_residual(p, u, h)
         ref, floor = _residual_loop(p, u, h)
-        assert np.array_equal(prof.checkpoints, CHECKPOINTS)
+        assert np.array_equal(prof.checkpoints, h * np.rint(CHECKPOINTS / h))
         assert np.all(np.abs(prof.residuals - ref) <= floor)
         np.testing.assert_allclose(prof.floor, floor, rtol=1e-12)
 
@@ -779,24 +781,20 @@ def test_residual_step_bounds():
 
 
 def _residual_uncached(p, u, h):
-    """The oracle without a plan: u.interpolate over the distinct stencil
-    points, then the same sums in the same order."""
+    """The oracle without a plan: u.interpolate over the lattice h * k,
+    then the same sums in the same order."""
     a, sg = p.params.alpha, p.params.sigma
-    checkpoints = CHECKPOINTS
+    at = np.rint(CHECKPOINTS / h).astype(int)
     shift = int(round(a / 2.0))
-    terms = np.floor(checkpoints / h + 1e-9).astype(int) + 1 + shift
+    terms = at + 1 + shift
     ends = np.cumsum(terms)
     j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
-    stencil = np.repeat(checkpoints, terms) - h * (j - shift)
-    points, where = np.unique(
-        np.concatenate([np.clip(stencil, 0.0, 1.0), checkpoints]), return_inverse=True
-    )
-    uvals = u.interpolate(points)[where]
-    c = solver_module._gl_coeffs(a, int(terms.max()))
-    running = np.cumsum(c[j] * uvals[:stencil.size])
+    lattice = u.interpolate(h * np.arange(terms[-1]))
+    c = solver_module._gl_coeffs(a, int(terms[-1]))
+    running = np.cumsum(c[j] * lattice[np.repeat(at + shift, terms) - j])
     gl = h ** (-a) * np.diff(running[ends - 1], prepend=0.0)
-    g = np.asarray(p.g_callable()(checkpoints, uvals[stencil.size:]), dtype=float)
-    return np.abs(gl - checkpoints ** (-sg) * g)
+    g = np.asarray(p.g_callable()(h * at, lattice[at]), dtype=float)
+    return np.abs(gl - (h * at) ** (-sg) * g)
 
 
 RESIDUAL_SPEC = spec_for("1 + 0.1*ln(1+u)")
@@ -807,9 +805,6 @@ RESIDUAL_SPEC = spec_for("1 + 0.1*ln(1+u)")
 def test_residual_plan_matches_uncached_bit_for_bit(m, h):
     u = SolutionGrid.from_function(u_star, m)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h)
-    # off lattice, neighbouring stencils share few points: 8,930 distinct
-    # ones at h = 7e-4 exceed one block on 257 nodes
-    assert (solver_module._residual_plan(m, h).recip is None) == ((m, h) == (257, 7e-4))
     assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h))
 
 
@@ -839,14 +834,22 @@ def test_residual_plan_reused_for_new_values_not_for_new_nodes():
     assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u3, 7e-4))
 
 
-def test_residual_plan_without_reciprocals_past_one_block():
-    h = 1e-4
-    u = SolutionGrid.from_function(u_star, 257)
+@pytest.mark.parametrize("m, h", [(257, 1e-4), (1024, 1e-3)])
+def test_residual_plan_holds_the_lattice(m, h):
+    u = SolutionGrid.from_function(u_star, m)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h)
-    plan = solver_module._residual_plan(257, h)
-    assert plan.recip is None
-    assert plan.points.size * 257 > solver_module._INTERP_BLOCK
+    mat, rowsum = solver_module._residual_plan(m, h).recip
+    assert mat.shape == (round(0.8 / h) + 3, m) and rowsum.shape == (round(0.8 / h) + 3,)
     assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h))
+
+
+@pytest.mark.parametrize("h", [3e-3, 7e-4])
+def test_off_lattice_checkpoints_are_the_nearest_multiples_of_h(h):
+    prof = grunwald_letnikov_residual(RESIDUAL_SPEC, SolutionGrid.from_function(u_star, 33), h)
+    at = np.rint(prof.checkpoints / h)
+    assert np.array_equal(prof.checkpoints, h * at)
+    assert np.all(np.abs(prof.checkpoints - CHECKPOINTS) <= h / 2)
+    assert not np.array_equal(prof.checkpoints, CHECKPOINTS)
 
 
 def test_residual_plan_cache_holds_two_grids():
