@@ -12,13 +12,19 @@ paths they print match.  The exit code, stdout, stderr and every file
 under ``out`` are compared byte for byte.  One line per command says
 ``same`` or ``differs``; under a differing one, an indented line names
 each difference: the exit codes, then every differing output with the
-byte offset where it starts to differ.  The exit status is 1 on any
+byte offset where it starts to differ.  A differing ``.csv`` or ``.json``
+output that keeps its shape (same rows, same keys, same text cells) also
+gets its largest absolute difference over the numbers and where it is, so
+a change at rounding level can be quoted.  The exit status is 1 on any
 difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import os
 import shlex
 import subprocess
@@ -42,6 +48,8 @@ REFERENCE_COMMANDS = (
     f"solve {_SIGNED} --grid 1024 --quad 64 --out out",  # u-free g on the largest grid
     "solve --alpha 3.5 --sigma 0.5 --g unit --lambda 1 --tau 1 --grid 257 --quad 128 --out out",
     'solve --alpha 3.5 --sigma 0.5 --g "1+t^2" --lambda 1 --tau 1 --grid 129 --quad 64 --out out',
+    # a cold u-reading 65-point solve, sweep_cold's slowest kind of op
+    f"solve --alpha 3.3 --sigma 0.3 {_LADDER_G} --grid 65 --quad 64 --out out",
     f"solve --alpha 3.3 --sigma 0.3 {_LADDER_G} --grid 513 --quad 128 --out out",
     f"solve --alpha 3.5 --sigma 0.5 {_LADDER_G} --grid 1024 --quad 64 --out out",
     f"solve {_README_G} --h 1e-4 --out out",
@@ -72,10 +80,61 @@ class Run(NamedTuple):
     outputs: dict[str, bytes]
 
 
+def _cells(name: str, data: bytes) -> list[tuple[str, object]] | None:
+    """The cells of a ``.csv`` or ``.json`` output in order, each with
+    where it sits, numbers as floats: ``row i`` of a CSV (the header is
+    row 0), the path of a JSON value (``residual[3]``).  None for other
+    outputs and for ones that do not parse."""
+    def cell(text: str) -> object:
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    def leaves(value, path: str):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from leaves(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from leaves(item, f"{path}[{i}]")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path, float(value)
+        else:
+            yield path, value
+
+    try:
+        if name.endswith(".csv"):
+            rows = csv.reader(io.StringIO(data.decode()))
+            return [(f"row {i}", cell(text)) for i, row in enumerate(rows) for text in row]
+        if name.endswith(".json"):
+            return list(leaves(json.loads(data), ""))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError among them
+        pass
+    return None
+
+
+def largest_difference(name: str, a: bytes, b: bytes) -> str | None:
+    """``largest difference D in WHERE`` over the numbers of two versions
+    of an output that keep its shape (see ``_cells``), else None."""
+    cells_a, cells_b = _cells(name, a), _cells(name, b)
+    if cells_a is None or cells_b is None or len(cells_a) != len(cells_b):
+        return None
+    largest = None
+    for (where, x), (where_b, y) in zip(cells_a, cells_b):
+        numbers = isinstance(x, float) and isinstance(y, float)
+        if where != where_b or (x != y and not numbers):
+            return None
+        if numbers and (largest is None or abs(x - y) > largest[0]):
+            largest = (abs(x - y), where)
+    return None if largest is None else f"largest difference {largest[0]:.3g} in {largest[1]}"
+
+
 def differences(base: Run, new: Run) -> list[str]:
     """Every difference of two runs, none when they are the same: the exit
     codes, then by name each output only one side has, or that differs,
-    with the byte offset where it starts to differ."""
+    with the byte offset where it starts to differ and, for a ``.csv`` or
+    ``.json`` that keeps its shape, ``largest_difference``."""
     found = [f"exit code {base.code} -> {new.code}"] if base.code != new.code else []
     for name in sorted(base.outputs.keys() | new.outputs.keys()):
         a, b = base.outputs.get(name), new.outputs.get(name)
@@ -83,7 +142,9 @@ def differences(base: Run, new: Run) -> list[str]:
             found.append(f"{name}: only on the {'revision' if b is None else 'change'} side")
         elif a != b:
             offset = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-            found.append(f"{name}: differs from byte {offset}")
+            largest = largest_difference(name, a, b)
+            found.append(f"{name}: differs from byte {offset}"
+                         + (f", {largest}" if largest else ""))
     return found
 
 

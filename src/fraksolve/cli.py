@@ -256,8 +256,8 @@ def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[dict]:
     params = GreenParams(alpha, 0.5)  # G does not depend on sigma
     geval = _perturbed_green(params, perturb)
     rng = np.random.default_rng([seed, int(alpha * 100)])
-    t = rng.uniform(0.0, 1.0, size=100_000)
-    s = rng.uniform(0.0, 1.0, size=100_000)
+    t = rng.random(100_000)
+    s = rng.random(100_000)
     interior = (t > 0) & (t < 1) & (s > 0) & (s < 1)
     # G on every sample, reduced over the interior: no masked copies
     gmin = float(np.min(geval(t, s), where=interior, initial=np.inf))

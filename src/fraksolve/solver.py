@@ -218,31 +218,26 @@ def chebyshev_lobatto_nodes(m: int) -> np.ndarray:
 
 
 def _bary_reciprocals(nodes: np.ndarray, x: np.ndarray):
-    """weights / (x - nodes) per point of x, in one buffer, and row sums;
-    the weights are those of ``chebyshev_lobatto_nodes(len(nodes))``.
-    An exact node hit, or a near-hit where weight/diff overflowed, leaves
-    a non-finite sum; such rows, and zero-sum ones, snap to the nearest
-    node (a one-hot row with sum 1)."""
+    """weights / (x - nodes) as one node-major (len(nodes), len(x)) array,
+    the points on the fast axis, and its column sums: the interpolant at
+    x is (values @ recip) / colsum, the second barycentric form (Berrut &
+    Trefethen, SIAM Rev. 46, 2004) with the weights of
+    ``chebyshev_lobatto_nodes(len(nodes))``.  An exact node hit, or a
+    near-hit where weight/diff overflowed, leaves a non-finite sum; such
+    columns, and zero-sum ones, snap to the nearest node (a one-hot
+    column with sum 1)."""
     weights = np.ones(len(nodes))
     weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
-    mat = x[:, None] - nodes[None, :]
+    recip = np.subtract(x, nodes[:, None])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(weights, mat, out=mat)
-        rowsum = mat.sum(axis=1)
-    snap = np.flatnonzero(~np.isfinite(rowsum) | (rowsum == 0.0))
-    mat[snap] = 0.0
-    mat[snap, np.abs(x[snap, None] - nodes).argmin(axis=1)] = 1.0
-    rowsum[snap] = 1.0
-    return mat, rowsum
-
-
-def _bary_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows map values on Chebyshev-Lobatto ``nodes`` to interpolant
-    values at the points x (Berrut & Trefethen, SIAM Rev. 46, 2004)."""
-    mat, rowsum = _bary_reciprocals(nodes, np.asarray(x, dtype=float).ravel())
-    mat /= rowsum[:, None]
-    return mat
+        np.divide(weights[:, None], recip, out=recip)
+        colsum = recip.sum(axis=0)
+    snap = np.flatnonzero(~np.isfinite(colsum) | (colsum == 0.0))
+    recip[:, snap] = 0.0
+    recip[np.abs(x[snap] - nodes[:, None]).argmin(axis=0), snap] = 1.0
+    colsum[snap] = 1.0
+    return recip, colsum
 
 
 _INTERP_BLOCK = 1 << 21  # matrix entries (16 MB) per interpolation block
@@ -287,10 +282,10 @@ class SolutionGrid:
     def interpolate(self, x):
         """Barycentric interpolation, second form, at scalar or array x.
 
-        Points are taken in blocks, so the reciprocal matrix stays within
-        ``_INTERP_BLOCK`` entries however many points are asked for.  An x
-        outside [0, 1] is a ValueError, NaN included: the interpolant does
-        not extrapolate.
+        Points are taken in blocks, so the node-major reciprocals
+        (``_bary_reciprocals``) stay within ``_INTERP_BLOCK`` entries
+        however many points are asked for.  An x outside [0, 1] is a
+        ValueError, NaN included: the interpolant does not extrapolate.
         """
         x_arr = np.asarray(x, dtype=float)
         flat = x_arr.ravel()
@@ -299,8 +294,8 @@ class SolutionGrid:
         out = np.empty(flat.size)
         step = max(1, _INTERP_BLOCK // len(self.nodes))
         for i in range(0, flat.size, step):
-            mat, rowsum = _bary_reciprocals(self.nodes, flat[i:i + step])
-            out[i:i + step] = (mat @ self.values) / rowsum
+            recip, colsum = _bary_reciprocals(self.nodes, flat[i:i + step])
+            out[i:i + step] = (self.values @ recip) / colsum
         if x_arr.ndim == 0:
             return float(out[0])
         return out.reshape(x_arr.shape)
@@ -321,17 +316,18 @@ class DiscreteGreenOperator:
     (``split_panels``), so kernel values and rule weights are matrices
     built once.  ``apply`` reads u from its values on any
     Chebyshev-Lobatto grid, through one barycentric map per input size,
-    built on first use: a g that does not read u never needs one.  A
-    coarser input grid makes ``apply`` a Nystrom step (Atkinson 1997,
-    section 4.1).  ``apply`` is a handful of vectorized operations;
-    per-node sums use a fixed order, so results do not depend on
-    scheduling.
+    built on first use: a g that does not read u never needs one.  A map
+    is ``_bary_reciprocals`` at the samples, node-major (m_in,
+    grid_points * 2 quad_points), with its column sums.  A coarser input
+    grid makes ``apply`` a Nystrom step (Atkinson 1997, section 4.1).
+    ``apply`` is a handful of vectorized operations; per-node sums use a
+    fixed order, so results do not depend on scheduling.
     """
 
     def __init__(self, params: GreenParams, grid_points: int, quad_points: int):
         self.nodes = chebyshev_lobatto_nodes(grid_points)
         self.s, self.coef = split_panels(params, self.nodes, quad_points)
-        self._maps: dict[int, np.ndarray] = {}
+        self._maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def apply(self, values: np.ndarray, p: ProblemSpec) -> np.ndarray:
         """T u at the nodes, for u given by its values on the
@@ -341,8 +337,9 @@ class DiscreteGreenOperator:
         if p.g_reads_u():
             m = len(values)
             if m not in self._maps:
-                self._maps[m] = _bary_matrix(chebyshev_lobatto_nodes(m), self.s.ravel())
-            u = (self._maps[m] @ values).reshape(self.s.shape)
+                self._maps[m] = _bary_reciprocals(chebyshev_lobatto_nodes(m), self.s.ravel())
+            recip, colsum = self._maps[m]
+            u = ((values @ recip) / colsum).reshape(self.s.shape)
         else:
             u = np.zeros(self.s.shape)
         if p.enforce_cone:
@@ -662,7 +659,8 @@ class _ResidualPlan:
     Checkpoint k sits at lattice index ``at[k]`` of h * arange(at[-1] + 3);
     its stencil has at[k] + 3 entries.  ``j`` is the coefficient index of
     every stencil entry and ``idx`` its lattice index, at[k] + 2 - j.
-    ``recip`` is ``_bary_reciprocals`` at the lattice.
+    ``recip`` is ``_bary_reciprocals`` at the lattice: node-major
+    reciprocals (m, at[-1] + 3) and their column sums.
     """
 
     at: np.ndarray
@@ -717,8 +715,8 @@ def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> Res
     a, sg = p.params.alpha, p.params.sigma
     g = p.g_callable()
     plan = _residual_plan(len(u.values), h)
-    mat, rowsum = plan.recip
-    lattice = (mat @ u.values) / rowsum
+    recip, colsum = plan.recip
+    lattice = (u.values @ recip) / colsum
     terms = plan.at + 1 + _GL_SHIFT
     # Each stencil's sum cancels from terms of size |u| down to about
     # h^alpha |D^alpha u| within its first few terms.  A running sum in

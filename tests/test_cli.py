@@ -615,8 +615,8 @@ def test_kernel_positivity_metric_skips_boundary_samples(monkeypatch):
         def __init__(self, seed):
             self._rng = default_rng(seed)
 
-        def uniform(self, low, high, size):
-            x = self._rng.uniform(low, high, size)
+        def random(self, size):
+            x = self._rng.random(size)
             if size == 100_000:  # the t stream, then the s stream
                 if drawn:
                     x[7:14] = 1.0
@@ -624,6 +624,9 @@ def test_kernel_positivity_metric_skips_boundary_samples(monkeypatch):
                     x[:7] = 0.0
                 drawn.append(x)
             return x
+
+        def uniform(self, low, high, size):
+            return self._rng.uniform(low, high, size)
 
     monkeypatch.setattr(cli.np.random, "default_rng", InjectingRng)
     check = cli._kernel_checks(3.5, 0, 0.0)[0]

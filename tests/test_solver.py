@@ -24,7 +24,6 @@ from fraksolve.solver import (
     NonConvergenceError,
     ProblemSpec,
     SolutionGrid,
-    _bary_matrix,
     apply_green_operator,
     catalog_g,
     certify_contraction,
@@ -93,17 +92,23 @@ def test_interpolation_never_nan(x):
     assert np.isfinite(grid.interpolate(x))
 
 
+def _bary_map(nodes, x):
+    """The normalised barycentric map, one column per point of x."""
+    recip, colsum = solver_module._bary_reciprocals(nodes, x)
+    return recip / colsum
+
+
 def test_bary_matrix_unit_rows_at_and_next_to_nodes():
     nodes = chebyshev_lobatto_nodes(33)
     x = np.concatenate(
         [nodes, [0.0, 1.0], nodes * (1.0 + 2.0**-52), nodes * (1.0 - 2.0**-52)]
     )
-    mat = _bary_matrix(nodes, x)
+    mat = _bary_map(nodes, x)
     unit = np.zeros_like(mat)
-    unit[np.arange(x.size), np.abs(x[:, None] - nodes).argmin(axis=1)] = 1.0
-    assert np.array_equal(mat[:35], unit[:35])  # exact hits, 0 and 1
+    unit[np.abs(x - nodes[:, None]).argmin(axis=0), np.arange(x.size)] = 1.0
+    assert np.array_equal(mat[:, :35], unit[:, :35])  # exact hits, 0 and 1
     np.testing.assert_allclose(mat, unit, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(mat.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5, -0.5])
@@ -120,7 +125,7 @@ def test_interpolate_refuses_non_finite_points(bad):
 def test_interpolate_in_blocks_matches_one_matrix(monkeypatch):
     grid = SolutionGrid.from_function(lambda t: np.sin(3.0 * t), 17)
     x = np.linspace(0.0, 1.0, 1001).reshape(7, 143)
-    whole = _bary_matrix(grid.nodes, x.ravel()) @ grid.values
+    whole = grid.values @ _bary_map(grid.nodes, x.ravel())
     monkeypatch.setattr(solver_module, "_INTERP_BLOCK", 17 * 50)
     np.testing.assert_allclose(grid.interpolate(x), whole.reshape(x.shape), rtol=0.0, atol=1e-14)
 
@@ -130,8 +135,40 @@ def test_bary_matrix_rows_sum_to_one_on_operator_samples(grid, quad):
     nodes = chebyshev_lobatto_nodes(grid)
     s, _ = split_panels(GreenParams(3.05, 0.95), nodes, quad)
     assert s.shape == (grid, 2 * quad)
-    mat = _bary_matrix(nodes, s.ravel())
-    np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-13)
+    mat = _bary_map(nodes, s.ravel())
+    np.testing.assert_allclose(mat.sum(axis=0), 1.0, rtol=0.0, atol=1e-13)
+
+
+def _bary_pointwise(nodes, values, x):
+    """The second barycentric form at one point, summed term by term and
+    exactly rounded: values[k] at a node x_k, else
+    sum_k w_k f_k / (x - x_k) over sum_k w_k / (x - x_k), with
+    w_k = (-1)^k, halved at both ends.  A point so close to a node that
+    a term overflows is that node."""
+    w = [(-1.0) ** k * (0.5 if k in (0, len(nodes) - 1) else 1.0) for k in range(len(nodes))]
+    diff = [x - node for node in nodes]
+    if 0.0 in diff:
+        return values[diff.index(0.0)]
+    terms = [wk / d for wk, d in zip(w, diff)]
+    if not all(math.isfinite(t) for t in terms):
+        return values[min(range(len(diff)), key=lambda k: abs(diff[k]))]
+    return math.fsum(t * f for t, f in zip(terms, values)) / math.fsum(terms)
+
+
+@pytest.mark.parametrize("m_in, grid, quad", [(33, 33, 48), (33, 65, 48), (65, 65, 64),
+                                              (65, 257, 128)])
+def test_operator_map_matches_pointwise_barycentric_sum(m_in, grid, quad):
+    # every map shape a solve builds, on a spread of its samples, at the
+    # input nodes and one ulp to either side of them
+    nodes = chebyshev_lobatto_nodes(m_in)
+    s, _ = split_panels(P35, chebyshev_lobatto_nodes(grid), quad)
+    x = np.concatenate([s.ravel()[::97], nodes, np.nextafter(nodes, -1.0)[1:],
+                        np.nextafter(nodes, 2.0)[:-1]])
+    values = 1.5 + np.sin(3.0 * nodes) + nodes**2
+    recip, colsum = solver_module._bary_reciprocals(nodes, x)
+    assert recip.shape == (m_in, x.size) and colsum.shape == (x.size,)
+    want = [_bary_pointwise(nodes.tolist(), values.tolist(), xi) for xi in x.tolist()]
+    np.testing.assert_allclose((values @ recip) / colsum, want, rtol=1e-13, atol=0.0)
 
 
 def test_solution_grid_validation():
@@ -506,7 +543,9 @@ def test_operator_cache_holds_one_ladder_per_entry():
     assert {key: set(op._maps) for key, op in ladder.items()} == {
         (33, 48): {33}, (65, 48): {33}, (65, 96): {65}, (129, 96): {65}}
     output = ladder[(129, 96)]  # maps built by the solve, g reads u
-    assert output._maps[65].shape == (129 * 192, 65) and output.s.shape == (129, 192)
+    recip, colsum = output._maps[65]
+    assert recip.shape == (65, 129 * 192) and colsum.shape == (129 * 192,)
+    assert output.s.shape == (129, 192)
     solve(spec_for("1", grid_points=17))
     solve(spec_for("1"))
     # two entries at most: the least recently used, the ladder, went first;
@@ -524,7 +563,7 @@ def _no_map(*args):
 @pytest.mark.parametrize("grid, quad", [(33, 48), (257, 128)])
 @pytest.mark.parametrize("g", ["manufactured", "unit", "1 + t^2"])
 def test_u_free_g_builds_no_map(monkeypatch, g, grid, quad):
-    monkeypatch.setattr(solver_module, "_bary_matrix", _no_map)
+    monkeypatch.setattr(solver_module, "_bary_reciprocals", _no_map)
     solver_module._operators.cache_clear()  # no operator whose map is built already
     p = ProblemSpec(P35, g, lambda_claim=1.0, tau=1.0, grid_points=grid, quad_points=quad,
                     enforce_cone=g != "manufactured")
@@ -557,8 +596,9 @@ def test_u_free_g_solves_bit_for_bit_as_through_the_map(free, reading, grid, qua
 
 def test_u_reading_solve_builds_each_map_once(monkeypatch):
     built = []
-    real = solver_module._bary_matrix
-    monkeypatch.setattr(solver_module, "_bary_matrix", lambda *a: built.append(1) or real(*a))
+    real = solver_module._bary_reciprocals
+    monkeypatch.setattr(solver_module, "_bary_reciprocals",
+                        lambda *a: built.append(1) or real(*a))
     solver_module._operators.cache_clear()
     p = nested_spec("1 + 40*u/(1+sqrt(u))^2")
     first = solve(p)
@@ -838,8 +878,8 @@ def test_residual_plan_reused_for_new_values_not_for_new_nodes():
 def test_residual_plan_holds_the_lattice(m, h):
     u = SolutionGrid.from_function(u_star, m)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u, h)
-    mat, rowsum = solver_module._residual_plan(m, h).recip
-    assert mat.shape == (round(0.8 / h) + 3, m) and rowsum.shape == (round(0.8 / h) + 3,)
+    recip, colsum = solver_module._residual_plan(m, h).recip
+    assert recip.shape == (m, round(0.8 / h) + 3) and colsum.shape == (round(0.8 / h) + 3,)
     assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u, h))
 
 
