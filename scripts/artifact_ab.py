@@ -63,6 +63,7 @@ REFERENCE_COMMANDS = (
     'solve --alpha 3.5 --sigma 0.5 --g "5*u" --lambda 500 --tau 1 --out out',  # 2
     f"solve {_README_G} --grid 257 --quad 128 --max-iters 3 --out out",  # 3
     "verify --perturb-kernel 1e-3 --out out",  # 4
+    "verify --seed 7 --perturb-kernel 1e-3 --out out",  # 4
     "--help",
     "kernel --alpha 3.5 --sigma 0.5 --out out",
     "verify --seed 0 --out out",

@@ -252,15 +252,31 @@ def _perturbed_green(params: GreenParams, perturb: float):
     return geval
 
 
+# random (t, s) samples of the positivity check, and how many are drawn
+# and evaluated at once: with 800 KB whole-stream temporaries glibc
+# returned and refaulted its heap on every call; 64 KB blocks stay below
+# its 128 KB thresholds one by one
+_KERNEL_SAMPLES = 100_000
+_KERNEL_BLOCK = 8192
+
+
 def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[dict]:
     params = GreenParams(alpha, 0.5)  # G does not depend on sigma
     geval = _perturbed_green(params, perturb)
-    rng = np.random.default_rng([seed, int(alpha * 100)])
-    t = rng.random(100_000)
-    s = rng.random(100_000)
-    interior = (t > 0) & (t < 1) & (s > 0) & (s < 1)
-    # G on every sample, reduced over the interior: no masked copies
-    gmin = float(np.min(geval(t, s), where=interior, initial=np.inf))
+    # one stream: t takes its first _KERNEL_SAMPLES doubles, s the next
+    # ones (a second generator moved past t), then the kink points
+    key = [seed, int(alpha * 100)]
+    t_rng, rng = np.random.default_rng(key), np.random.default_rng(key)
+    rng.bit_generator.advance(_KERNEL_SAMPLES)
+    gmin = np.inf
+    for start in range(0, _KERNEL_SAMPLES, _KERNEL_BLOCK):
+        size = min(_KERNEL_BLOCK, _KERNEL_SAMPLES - start)
+        t, s = t_rng.random(size), rng.random(size)
+        interior = (t > 0) & (t < 1) & (s > 0) & (s < 1)
+        # G on every sample, reduced over the interior: no masked copies;
+        # np.minimum keeps a NaN, where min(gmin, nan) would drop it
+        gmin = np.minimum(gmin, np.min(geval(t, s), where=interior, initial=np.inf))
+    gmin = float(gmin)
     checks = [
         _check(f"kernel_positivity_alpha_{alpha:g}", -gmin, 0.0, passed=gmin > 0.0)
     ]

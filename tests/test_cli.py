@@ -603,26 +603,29 @@ def test_verify_deterministic_bytes(tmp_path):
 
 
 def test_kernel_positivity_metric_skips_boundary_samples(monkeypatch):
-    # t = 0 and s = 1 samples, where G = 0, are injected into the drawn
-    # streams; the metric must equal a mask-and-min over the interior
-    from fraksolve import cli
+    # t = 0 and s = 1 samples, where G = 0, are injected into the first
+    # block of each drawn stream; the metric must equal a mask-and-min
+    # over the interior of the full streams
     from fraksolve.kernel import GreenParams, green_eval
 
-    drawn = []
+    streams = []  # the blocks each generator drew, in creation order: t, s
     default_rng = np.random.default_rng
 
     class InjectingRng:
         def __init__(self, seed):
             self._rng = default_rng(seed)
+            self.bit_generator = self._rng.bit_generator
+            self._blocks = []
+            streams.append(self._blocks)
 
         def random(self, size):
             x = self._rng.random(size)
-            if size == 100_000:  # the t stream, then the s stream
-                if drawn:
-                    x[7:14] = 1.0
-                else:
+            if not self._blocks:
+                if self._blocks is streams[0]:
                     x[:7] = 0.0
-                drawn.append(x)
+                else:
+                    x[7:14] = 1.0
+            self._blocks.append(x)
             return x
 
         def uniform(self, low, high, size):
@@ -630,12 +633,75 @@ def test_kernel_positivity_metric_skips_boundary_samples(monkeypatch):
 
     monkeypatch.setattr(cli.np.random, "default_rng", InjectingRng)
     check = cli._kernel_checks(3.5, 0, 0.0)[0]
-    t, s = drawn
+    t, s = (np.concatenate(blocks) for blocks in streams)
+    assert len(t) == len(s) == cli._KERNEL_SAMPLES
     assert np.all(t[:7] == 0.0) and np.all(s[7:14] == 1.0)
     inside = (t > 0) & (t < 1) & (s > 0) & (s < 1)
     gmin = float(np.min(green_eval(GreenParams(3.5, 0.5), t[inside], s[inside])))
     assert check["name"] == "kernel_positivity_alpha_3.5"
     assert check["metric"] == -gmin and check["passed"]
+
+
+def _record_green_eval(monkeypatch):
+    """Wrap the suite's green_eval; returns the list of its (t, s) arguments."""
+    calls = []
+    green_eval = cli.green_eval
+
+    def recording(params, t, s):
+        calls.append((np.array(t, dtype=float), np.array(s, dtype=float)))
+        return green_eval(params, t, s)
+
+    monkeypatch.setattr(cli, "green_eval", recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 7, 100019])
+@pytest.mark.parametrize("alpha", cli.SWEEP_ALPHAS)
+def test_kernel_positivity_blocks_reproduce_one_stream(seed, alpha, monkeypatch):
+    # the blocks are the old single generator's draws, bit for bit: t,
+    # then s, then the 64 kink points
+    from fraksolve.kernel import GreenParams, green_eval
+
+    calls = _record_green_eval(monkeypatch)
+    check = cli._kernel_checks(alpha, seed, 0.0)[0]
+    n_blocks = -(-cli._KERNEL_SAMPLES // cli._KERNEL_BLOCK)
+    t = np.concatenate([c[0] for c in calls[:n_blocks]])
+    s = np.concatenate([c[1] for c in calls[:n_blocks]])
+    tk = calls[-1][0]  # the kink check evaluates G(tk, tk + eps) last
+    rng = np.random.default_rng([seed, int(alpha * 100)])
+    assert np.array_equal(t, rng.random(100_000))
+    assert np.array_equal(s, rng.random(100_000))
+    assert np.array_equal(tk, rng.uniform(0.05, 0.95, 64))
+    inside = (t > 0) & (t < 1) & (s > 0) & (s < 1)
+    assert check["metric"] == -float(np.min(green_eval(GreenParams(alpha, 0.5), t, s)[inside]))
+
+
+def test_kernel_positivity_fails_on_nan_in_a_later_block(monkeypatch):
+    # one NaN kernel value past the first block fails the check, as a
+    # whole-array np.min does; a plain min over the blocks would drop it
+    green_eval = cli.green_eval
+    seen = [0]  # samples evaluated so far
+
+    def nan_at_50000(params, t, s):
+        g = np.array(green_eval(params, t, s), dtype=float)
+        if seen[0] <= 50_000 < seen[0] + g.size:
+            g.flat[50_000 - seen[0]] = np.nan
+        seen[0] += g.size
+        return g
+
+    monkeypatch.setattr(cli, "green_eval", nan_at_50000)
+    check = cli._kernel_checks(3.5, 0, 0.0)[0]
+    assert check["name"] == "kernel_positivity_alpha_3.5"
+    assert np.isnan(check["metric"]) and not check["passed"]
+
+
+def test_verify_suite_evaluates_kernel_in_small_blocks(monkeypatch):
+    # a deterministic guard against whole-stream temporaries: no kernel
+    # evaluation of the suite sees more than one block of samples
+    calls = _record_green_eval(monkeypatch)
+    assert cli.run_verify_suite(0)["passed"]
+    assert max(t.size for t, _ in calls) <= cli._KERNEL_BLOCK
+    assert sum(t.size for t, _ in calls) >= len(cli.SWEEP_ALPHAS) * cli._KERNEL_SAMPLES
 
 
 def test_verify_passes_on_seed_with_near_corner_kernel_sample():
