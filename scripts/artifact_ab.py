@@ -48,6 +48,10 @@ REFERENCE_COMMANDS = (
     f"solve {_SIGNED} --grid 1024 --quad 64 --out out",  # u-free g on the largest grid
     "solve --alpha 3.5 --sigma 0.5 --g unit --lambda 1 --tau 1 --grid 257 --quad 128 --out out",
     'solve --alpha 3.5 --sigma 0.5 --g "1+t^2" --lambda 1 --tau 1 --grid 129 --quad 64 --out out',
+    # g reading both t and u, and a u-only g that fails the monotonicity check
+    'solve --alpha 3.5 --sigma 0.5 --g "1 + 0.1*t*ln(1+u)" --lambda 0.5 --tau 1 --grid 257 '
+    '--quad 128 --out out',
+    'solve --alpha 3.5 --sigma 0.5 --g "1 + 0.001*sqrt(10.5-u)" --lambda 0.01 --tau 1 --out out',
     # a cold u-reading 65-point solve, sweep_cold's slowest kind of op
     f"solve --alpha 3.3 --sigma 0.3 {_LADDER_G} --grid 65 --quad 64 --out out",
     f"solve --alpha 3.3 --sigma 0.3 {_LADDER_G} --grid 513 --quad 128 --out out",

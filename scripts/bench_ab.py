@@ -4,8 +4,11 @@
     python3 scripts/bench_ab.py --rev HEAD --workload sweep_cold --seeds 41 42 43 --seconds 8
 
 The revision's committed files are unpacked from ``git archive`` into a
-temporary directory (local, no network), and ``bench/run.py --trace 0``
-runs there and in this checkout's working tree once per seed, each run a
+temporary directory (local, no network).  This checkout's working tree,
+its uncommitted edits and untracked files included (``git ls-files -co
+--exclude-standard``), is copied into a second one, so both sides run
+from a fresh directory of the same kind: a run's peak RSS depends on where
+it runs.  ``bench/run.py --trace 0`` runs in each once per seed, each run a
 fresh process.  The side that goes first alternates from pair to pair, so
 a drift in machine load does not favour one side.  For every end-to-end
 metric of ``BENCHMARK.json`` it prints the median and the interquartile
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -73,9 +77,22 @@ def run_bench(root: Path, workload: str, seed: int, seconds: int) -> dict:
     return metrics
 
 
-def _unpack(rev: str, dest: Path) -> None:
-    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True).stdout
+def _unpack(rev: str, dest: Path, repo: Path = ROOT) -> None:
+    """The committed files of ``rev`` in ``repo``, written under ``dest``."""
+    tar = subprocess.run(["git", "archive", rev], cwd=repo, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+
+
+def _copy_worktree(dest: Path, repo: Path = ROOT) -> None:
+    """The files of ``repo``'s working tree, as they are on disk, copied
+    under ``dest``: tracked ones and untracked ones git does not ignore.
+    A tracked file deleted from the tree stays deleted."""
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=repo,
+                           capture_output=True, check=True).stdout
+    for name in filter(None, names.decode().split("\0")):
+        if (repo / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(repo / name, dest / name)
 
 
 def _fmt(x: float) -> str:
@@ -91,13 +108,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench_ab_") as tmp:
-        base_root = Path(tmp)
+    with (tempfile.TemporaryDirectory(prefix="bench_ab_") as base_tmp,
+          tempfile.TemporaryDirectory(prefix="bench_ab_") as new_tmp):
+        base_root, new_root = Path(base_tmp), Path(new_tmp)
         _unpack(args.rev, base_root)
+        _copy_worktree(new_root)
         for i, seed in enumerate(args.seeds):
-            order = ((base_root, ROOT) if i % 2 == 0 else (ROOT, base_root))
+            order = ((base_root, new_root) if i % 2 == 0 else (new_root, base_root))
             runs = {root: run_bench(root, args.workload, seed, args.seconds) for root in order}
-            pairs.append((runs[base_root], runs[ROOT]))
+            pairs.append((runs[base_root], runs[new_root]))
             base, new = pairs[-1]
             print(f"# seed {seed}: " + ", ".join(
                 f"{m['name']} {_fmt(base[m['name']])} -> {_fmt(new[m['name']])}"

@@ -39,7 +39,7 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "evaluate",
-    "reads_u",
+    "variables",
 ]
 
 MAX_SOURCE_BYTES = 64 * 1024
@@ -230,22 +230,24 @@ def parse(text: str) -> Expression:
     return node
 
 
-def reads_u(expr: Expression) -> bool:
-    """Whether the tree contains ``Var("u")``; a tree without it gives
-    the same value at every u.  Walks with a stack, not recursion, so any
-    tree ``parse`` returns is within reach."""
+def variables(expr: Expression) -> frozenset[str]:
+    """The variables the tree reads, a subset of {"t", "u"}; a tree that
+    does not read one gives the same value at every value of it.  Walks
+    with a stack, not recursion, so any tree ``parse`` returns is within
+    reach."""
+    found = set()
     stack = [expr]
-    while stack:
+    while stack and len(found) < len(_VARIABLES):
         node = stack.pop()
-        if isinstance(node, Var) and node.name == "u":
-            return True
-        if isinstance(node, Neg):
+        if isinstance(node, Var):
+            found.add(node.name)
+        elif isinstance(node, Neg):
             stack.append(node.operand)
         elif isinstance(node, BinOp):
             stack += (node.left, node.right)
         elif isinstance(node, Call):
             stack += node.args
-    return False
+    return frozenset(found)
 
 
 def _fmt_args(*vals) -> str:

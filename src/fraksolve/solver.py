@@ -168,12 +168,17 @@ class ProblemSpec:
         on first use; reused until ``g`` or ``params`` is replaced."""
         return self._g()[0]
 
+    def g_reads_t(self) -> bool:
+        """False when g is known not to depend on t: expressions without
+        t.  The catalog ids read t, and a Python callable is taken to."""
+        return self._g()[1]
+
     def g_reads_u(self) -> bool:
         """False when g is known not to depend on u: the catalog ids and
         expressions without u.  A Python callable is taken to read u."""
-        return self._g()[1]
+        return self._g()[2]
 
-    def _g(self) -> tuple[Callable, bool]:
+    def _g(self) -> tuple[Callable, bool, bool]:
         hit = self._g_resolved
         if hit is None or hit[0] is not self.g or hit[1] is not self.params:
             hit = self._g_resolved = (self.g, self.params, *_resolve_g(self.g, self.params))
@@ -187,15 +192,16 @@ def _check_g(g) -> None:
         )
 
 
-def _resolve_g(g: GFunction, params: GreenParams) -> tuple[Callable, bool]:
-    """g as an array callable, and whether it reads u."""
+def _resolve_g(g: GFunction, params: GreenParams) -> tuple[Callable, bool, bool]:
+    """g as an array callable, and whether it reads t and whether u."""
     _check_g(g)
     if isinstance(g, str):
         if g in G_CATALOG_IDS:
-            return catalog_g(g, params), False
+            return catalog_g(g, params), True, False
         g = exprparse.parse(g)
     if isinstance(g, Expression):
-        return (lambda t, u: exprparse.evaluate(g, t, u)), exprparse.reads_u(g)
+        reads = exprparse.variables(g)
+        return (lambda t, u: exprparse.evaluate(g, t, u)), "t" in reads, "u" in reads
 
     def wrapped(t, u):
         out = g(t, u)
@@ -203,7 +209,7 @@ def _resolve_g(g: GFunction, params: GreenParams) -> tuple[Callable, bool]:
             return np.full(np.shape(t), float(out))
         return out
 
-    return wrapped, True
+    return wrapped, True, True
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +441,15 @@ _CERT_SAMPLES = 2000
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def certify_contraction(p: ProblemSpec, seed: int = 0) -> ContractionCertificate:
-    """Sample the contraction condition; a failing certificate is a valid
-    result, not an error."""
-    g = p.g_callable()
-    tau = p.tau
+@functools.lru_cache(maxsize=2)  # sweep_cold alternates two grids
+def _certificate_samples(grid_points: int, u_max: float, seed: int) -> tuple[np.ndarray, ...]:
+    """The (t, x, y) triples ``certify_contraction`` samples, t among the
+    grid's nodes and x, y in [0, u_max]; read-only, as every later call
+    shares them."""
     rng = np.random.default_rng(seed)
-    tt = chebyshev_lobatto_nodes(p.grid_points)
-    t = rng.choice(tt, size=_CERT_SAMPLES)
-    x = rng.uniform(0.0, p.u_max, size=_CERT_SAMPLES)
-    y = rng.uniform(0.0, p.u_max, size=_CERT_SAMPLES)
+    t = rng.choice(chebyshev_lobatto_nodes(grid_points), size=_CERT_SAMPLES)
+    x = rng.uniform(0.0, u_max, size=_CERT_SAMPLES)
+    y = rng.uniform(0.0, u_max, size=_CERT_SAMPLES)
     # probe small separations as well: the ratio peaks as |x-y| -> 0.
     # Below ~1e-8 the difference g(x)-g(y) is cancellation noise in
     # doubles and the ratio would measure rounding, not the nonlinearity,
@@ -452,13 +457,27 @@ def certify_contraction(p: ProblemSpec, seed: int = 0) -> ContractionCertificate
     shrink = rng.uniform(0.0, 1.0, size=_CERT_SAMPLES) ** 4
     y = x + (y - x) * shrink
     ok = np.abs(x - y) >= 1e-8
-    t, x, y = t[ok], x[ok], y[ok]
+    samples = t[ok], x[ok], y[ok]
+    for arr in samples:
+        arr.flags.writeable = False
+    return samples
+
+
+def certify_contraction(p: ProblemSpec, seed: int = 0) -> ContractionCertificate:
+    """Sample the contraction condition; a failing certificate is a valid
+    result, not an error.  The samples are fixed by (grid_points, u_max,
+    seed), drawn once and shared read-only between calls."""
+    g = p.g_callable()
+    tau = p.tau
+    t, x, y = _certificate_samples(p.grid_points, p.u_max, seed)
     dxy = np.abs(x - y)
     # a g constant in u meets the condition at any tau, even where the
     # factor (1 + tau sqrt|x-y|)^2 overflows; a ratio that overflows is
     # capped at the largest double, a lower bound of the true one
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(np.asarray(g(t, x)) - np.asarray(g(t, y)))
+        gx = np.asarray(g(t, x))
+        gy = np.asarray(g(t, y)) if p.g_reads_u() else gx  # the same values
+        diff = np.abs(gx - gy)
         ratio = np.where(diff == 0.0, 0.0, diff * (1.0 + tau * np.sqrt(dxy)) ** 2 / dxy)
     lambda_observed = min(float(ratio.max()), _FLOAT_MAX) if ratio.size else 0.0
     n_value, t_star = green_weight_integral_max(p.params)
@@ -594,21 +613,38 @@ class PositivityReport:
         }
 
 
-# u pairs sampled for the monotonicity check; the least g(t, 0) near the
-# origin that counts as a forcing positive there
+# u pairs sampled for the monotonicity check; the t at which the forcing
+# is probed near the origin, and the least g(t, 0) there that counts as
+# positive
 _POSITIVITY_SAMPLES, _ORIGIN_FLOOR = 256, 1e-8
+_ORIGIN_T = np.geomspace(1e-8, 1e-2, 25)
+_ORIGIN_T.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=2)
+def _positivity_samples(u_max: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) pairs, x <= y <= u_max, of the monotonicity check, as
+    (_POSITIVITY_SAMPLES, 1) columns; read-only, as every later call
+    shares them."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, u_max, size=(_POSITIVITY_SAMPLES, 1))
+    ys = rng.uniform(xs, u_max)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def check_positivity(p: ProblemSpec, u: SolutionGrid, seed: int = 0) -> PositivityReport:
+    """The samples are fixed by (u_max, seed), drawn once and shared
+    read-only between calls.  The monotonicity grid (the u pairs against
+    u's nodes) spans only the variables g reads: g is the same all along
+    an axis it does not read, so that axis keeps its first entry."""
     g = p.g_callable()
-    rng = np.random.default_rng(seed)
-    tt = u.nodes
-    xs = rng.uniform(0.0, p.u_max, size=(_POSITIVITY_SAMPLES, 1))
-    ys = rng.uniform(xs, p.u_max)  # x <= y <= u_max
-    t_row = tt[None, :]
+    xs, ys = _positivity_samples(p.u_max, seed)
+    t_row = u.nodes[None, :] if p.g_reads_t() else u.nodes[None, :1]
+    if not p.g_reads_u():
+        xs, ys = xs[:1], ys[:1]
     monotone = bool(np.all(np.asarray(g(t_row, xs)) <= np.asarray(g(t_row, ys)) + 1e-12))
-    t_near0 = np.geomspace(1e-8, 1e-2, 25)
-    g_origin = np.asarray(g(t_near0, np.zeros_like(t_near0)))
+    g_origin = np.asarray(g(_ORIGIN_T, np.zeros_like(_ORIGIN_T)))
     forcing_ok = bool(np.min(g_origin) >= _ORIGIN_FLOOR)
     min_interior = float(np.min(u.values[1:-1]))
     verdict = (

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,38 @@ def test_summary_single_pair_has_zero_iqr():
     (row,) = bench_ab.summarize([({"setup_s": 0.2}, {"setup_s": 0.3})], METRICS)
     assert row["base_iqr"] == row["new_iqr"] == 0.0
     assert row["wins"] == 0 and not row["beyond_iqr"]
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                   check=True, capture_output=True)
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_text()
+            for p in root.rglob("*") if p.is_file() and ".git" not in p.parts}
+
+
+def test_both_sides_are_prepared_as_fresh_copies(tmp_path):
+    repo, base, new = tmp_path / "repo", tmp_path / "base", tmp_path / "new"
+    for d in (repo, base, new):
+        d.mkdir()
+    (repo / "src").mkdir()
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "src" / "edited.py").write_text("committed\n")
+    (repo / "gone.py").write_text("committed\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "edited.py").write_text("uncommitted\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+
+    bench_ab._unpack("HEAD", base, repo)
+    bench_ab._copy_worktree(new, repo)
+    assert _files(base) == {"src/kept.py": "committed\n", "src/edited.py": "committed\n",
+                            "gone.py": "committed\n", ".gitignore": "*.log\n"}
+    assert _files(new) == {"src/kept.py": "committed\n", "src/edited.py": "uncommitted\n",
+                           "src/new.py": "untracked\n", ".gitignore": "*.log\n"}

@@ -186,11 +186,11 @@ def points(draw):
 
 
 @st.composite
-def _other_u(draw, u):
-    """A u of the same shape as u, with other values."""
-    other = np.array(draw(st.lists(_POINTS, min_size=np.size(u), max_size=np.size(u))))
-    other = other.reshape(np.shape(u)) if np.ndim(u) else float(other[0])
-    assume(np.asarray(other).tobytes() != np.asarray(u).tobytes())
+def _other(draw, x):
+    """Values of the same shape as x, not all the same as x's."""
+    other = np.array(draw(st.lists(_POINTS, min_size=np.size(x), max_size=np.size(x))))
+    other = other.reshape(np.shape(x)) if np.ndim(x) else float(other[0])
+    assume(np.asarray(other).tobytes() != np.asarray(x).tobytes())
     return other
 
 
@@ -237,14 +237,23 @@ def test_caller_errstate_plays_no_part(expr, tu):
 
 
 @settings(max_examples=300, deadline=None)
-@given(expressions)
+@given(st.sampled_from(["t", "u", "tu"]).flatmap(_trees))
 def test_reads_u_finds_every_u(expr):
-    assert exprparse.reads_u(expr) == ("Var(name='u')" in repr(expr))
+    # every variable, not only u: each is reported exactly when the tree holds it
+    assert exprparse.variables(expr) == {v for v in "tu" if f"Var(name='{v}')" in repr(expr)}
 
 
 @settings(max_examples=300, deadline=None)
 @given(_trees("t"), points(), st.data())
 def test_tree_without_u_gives_the_same_value_at_any_u(expr, tu, data):
     t, u = tu
-    assert not exprparse.reads_u(expr)
-    assert _outcome(expr, t, u) == _outcome(expr, t, data.draw(_other_u(u)))
+    assert "u" not in exprparse.variables(expr)
+    assert _outcome(expr, t, u) == _outcome(expr, t, data.draw(_other(u)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees("u"), points(), st.data())
+def test_tree_without_t_gives_the_same_value_at_any_t(expr, tu, data):
+    t, u = tu
+    assert "t" not in exprparse.variables(expr)
+    assert _outcome(expr, t, u) == _outcome(expr, data.draw(_other(t)), u)

@@ -18,10 +18,12 @@ from fraksolve.kernel import (
 from fraksolve import solver as solver_module
 from fraksolve.quadrature import panel_sums, split_panels
 from fraksolve.solver import (
+    G_CATALOG_IDS,
     CertificateError,
     ConeViolationError,
     DiscreteGreenOperator,
     NonConvergenceError,
+    PositivityReport,
     ProblemSpec,
     SolutionGrid,
     apply_green_operator,
@@ -644,6 +646,18 @@ def test_g_reads_u_is_derived_from_g(g, reads):
     assert p.g_reads_u()
 
 
+@pytest.mark.parametrize("g, reads", [
+    ("manufactured", True), ("unit", True), ("1", False), ("sqrt(u) + 0*u", False),
+    ("t^2 + exp(-t)", True), ("pow(t, u)", True),
+    (lambda t, u: np.ones_like(t), True),  # a callable is taken to read t
+])
+def test_g_reads_t_is_derived_from_g(g, reads):
+    p = spec_for(g)
+    assert p.g_reads_t() is reads
+    p.g = "t"  # the memo follows a replaced g
+    assert p.g_reads_t()
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         spec_for("1", lam=0.0)
@@ -715,6 +729,136 @@ def test_positivity_samples_u_within_u_max(u_max):
     p = spec_for(g, u_max=u_max)
     check_positivity(p, SolutionGrid.zeros(17))
     assert min(u.min() for u in seen) >= 0.0 and max(u.max() for u in seen) <= u_max
+
+
+def _fresh_positivity(p, u, seed=0):
+    """check_positivity as written before its samples were cached: fresh
+    draws, g on the full (256, len(u.nodes)) grid."""
+    g = p.g_callable()
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, p.u_max, size=(256, 1))
+    ys = rng.uniform(xs, p.u_max)
+    t_row = u.nodes[None, :]
+    monotone = bool(np.all(np.asarray(g(t_row, xs)) <= np.asarray(g(t_row, ys)) + 1e-12))
+    t_near0 = np.geomspace(1e-8, 1e-2, 25)
+    forcing_ok = bool(np.min(np.asarray(g(t_near0, np.zeros_like(t_near0)))) >= 1e-8)
+    min_interior = float(np.min(u.values[1:-1]))
+    verdict = ("verified positive" if (monotone and forcing_ok and min_interior > 0.0)
+               else "not-verified")
+    return PositivityReport(monotone, forcing_ok, min_interior, verdict)
+
+
+def _both(t, u):
+    return 1.0 + 0.1 * np.asarray(t) * np.log1p(u)
+
+
+# (g, variables it reads): each axis case, monotone or not
+_AXIS_CASES = [
+    ("manufactured", "t"), ("1+t^2", "t"), ("1 + 0.1*ln(1+u)", "u"),
+    ("1 + 0.001*sqrt(10.5-u)", "u"), ("1 + 0.1*t*ln(1+u)", "tu"), ("1", ""),
+    ("1 - 0.1*t*ln(1+u)", "tu"), (_both, "tu"),
+]
+
+
+@pytest.mark.parametrize("g, reads", _AXIS_CASES)
+@pytest.mark.parametrize("grid, seed", [(33, 0), (65, 7), (257, 0)])
+def test_positivity_matches_the_full_grid_on_fresh_draws(g, reads, grid, seed):
+    p = spec_for(g, enforce_cone=False)
+    assert (p.g_reads_t(), p.g_reads_u()) == ("t" in reads, "u" in reads)
+    u = SolutionGrid.from_function(u_star, grid)
+    assert check_positivity(p, u, seed) == _fresh_positivity(p, u, seed)
+
+
+@pytest.mark.parametrize("g, reads", [(g, r) for g, r in _AXIS_CASES
+                                      if isinstance(g, str) and g not in G_CATALOG_IDS])
+def test_positivity_grid_spans_the_variables_g_reads(monkeypatch, g, reads):
+    shapes = []
+    real = exprparse.evaluate
+    monkeypatch.setattr(exprparse, "evaluate", lambda expr, t, u: shapes.append(
+        np.broadcast_shapes(np.shape(t), np.shape(u))) or real(expr, t, u))
+    check_positivity(spec_for(g), SolutionGrid.zeros(17))
+    want = (256 if "u" in reads else 1, 17 if "t" in reads else 1)
+    assert shapes == [want, want, (25,)]
+
+
+@pytest.mark.parametrize("g, message", [
+    ("1 + ln(1-t)", "ln of non-positive argument: ln(0)"),
+    ("sqrt(9.5-u)", "sqrt of negative argument: sqrt(-0.47209935789211066)"),
+])
+def test_positivity_domain_error_names_the_full_grid_sample(g, message):
+    p = spec_for(g)
+    u = SolutionGrid.from_function(u_star, 33)
+    with pytest.raises(EvalDomainError) as fresh:
+        _fresh_positivity(p, u)
+    with pytest.raises(EvalDomainError) as cached:
+        check_positivity(p, u)
+    assert str(cached.value) == str(fresh.value) == message
+
+
+def _fresh_certificate_samples(grid_points, u_max, seed):
+    """certify_contraction's (t, x, y) draws as written before they were
+    cached."""
+    rng = np.random.default_rng(seed)
+    t = rng.choice(chebyshev_lobatto_nodes(grid_points), size=2000)
+    x = rng.uniform(0.0, u_max, size=2000)
+    y = rng.uniform(0.0, u_max, size=2000)
+    y = x + (y - x) * rng.uniform(0.0, 1.0, size=2000) ** 4
+    ok = np.abs(x - y) >= 1e-8
+    return t[ok], x[ok], y[ok]
+
+
+@pytest.mark.parametrize("grid", [33, 65, 257])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cached_samples_are_the_fresh_draws_and_read_only(grid, seed):
+    cert = solver_module._certificate_samples(grid, 10.0, seed)
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 10.0, size=(256, 1))
+    pos = solver_module._positivity_samples(10.0, seed)
+    fresh = (*_fresh_certificate_samples(grid, 10.0, seed), xs, rng.uniform(xs, 10.0))
+    for got, want in zip((*cert, *pos), fresh):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+    assert not solver_module._ORIGIN_T.flags.writeable
+
+
+def test_cached_samples_are_kept_per_key():
+    cert, pos = solver_module._certificate_samples, solver_module._positivity_samples
+    assert cert(33, 10.0, 0) is cert(33, 10.0, 0)
+    assert pos(10.0, 0) is pos(10.0, 0)
+    def data(samples):
+        return b"".join(arr.tobytes() for arr in samples)
+
+    for other in (cert(33, 5.0, 0), cert(33, 10.0, 7), cert(65, 10.0, 0)):
+        assert other is not cert(33, 10.0, 0) and data(other) != data(cert(33, 10.0, 0))
+    for other in (pos(5.0, 0), pos(10.0, 7)):
+        assert other is not pos(10.0, 0) and data(other) != data(pos(10.0, 0))
+
+
+def test_g_that_writes_into_its_samples_is_refused():
+    def g(t, u):
+        u += 1.0
+        return np.ones(np.broadcast_shapes(np.shape(t), np.shape(u)))
+
+    with pytest.raises(ValueError, match="read-only"):
+        certify_contraction(spec_for(g))
+    with pytest.raises(ValueError, match="read-only"):
+        check_positivity(spec_for(g), SolutionGrid.zeros(17))
+
+
+@pytest.mark.parametrize("g", ["manufactured", "1", "1 + 0.1*ln(1+u)", "1e307*u", _both])
+def test_certificate_matches_fresh_draws(g):
+    p = spec_for(g, enforce_cone=False)
+    t, x, y = _fresh_certificate_samples(p.grid_points, p.u_max, 0)
+    gf = p.g_callable()
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(np.asarray(gf(t, x)) - np.asarray(gf(t, y)))
+        dxy = np.abs(x - y)
+        ratio = np.where(diff == 0.0, 0.0, diff * (1.0 + p.tau * np.sqrt(dxy)) ** 2 / dxy)
+    cert = certify_contraction(p)
+    assert cert.samples == t.size
+    assert cert.lambda_observed == min(float(ratio.max()), np.finfo(float).max)
 
 
 def test_positivity_manufactured_interior_minimum():
