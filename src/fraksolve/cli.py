@@ -14,6 +14,7 @@ so an exit 1 leaves nothing in ``--out``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -159,16 +160,12 @@ def _build_spec(args) -> ProblemSpec:
 
 
 def cmd_solve(args) -> int:
+    """Certificate, solve, positivity report and residual, then one write of
+    the artifacts of the exit taken; certificate.json is in every one."""
     spec = _build_spec(args)
     check_residual_step(args.h)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    return _solve_and_write(spec, args)
-
-
-def _solve_and_write(spec: ProblemSpec, args) -> int:
-    """Certificate, solve, positivity report and residual, then one write of
-    the artifacts of the exit taken; certificate.json is in every one."""
     certificate = certify_contraction(spec, seed=args.seed)
     files = {"certificate.json": certificate.to_dict()}
     if not certificate.passed and not args.uncertified:
@@ -194,7 +191,7 @@ def _solve_and_write(spec: ProblemSpec, args) -> int:
     profile = grunwald_letnikov_residual(spec, u, args.h)
     files["solution.csv"] = ("t,u", zip(u.nodes, u.values))
     files["trace.csv"] = ("iter,delta", enumerate(result.trace, 1))
-    files["positivity.json"] = report.to_dict()
+    files["positivity.json"] = dataclasses.asdict(report)
     files["residual.csv"] = ("t,residual", zip(profile.checkpoints, profile.residuals))
     if args.format == "json":
         files["solution.json"] = {"t": list(u.nodes), "u": list(u.values)}

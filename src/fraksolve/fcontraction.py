@@ -84,19 +84,13 @@ def control_catalog(id: str) -> ControlFunction:
 class ControlClassReport:
     """Per-condition verdicts of the membership checks.
 
-    ``divergence_depth`` is the first dyadic level 2^-n at which phi
-    dropped below -_DIVERGENCE_BOUND, or None if never within the checked
-    depth (divergence is then judged by the non-vanishing decrement
-    alone).  The reverse implication of condition (b) -- phi(t_n) -> -inf
-    forces t_n -> 0 -- holds for any strictly increasing function, so it
-    is implied by condition (a) rather than sampled.
+    The reverse implication of condition (b) -- phi(t_n) -> -inf forces
+    t_n -> 0 -- holds for any strictly increasing function, so it is
+    implied by condition (a) rather than sampled.
     """
 
-    id: str
-    k_witness: float
     strictly_increasing: bool
     diverges_at_zero: bool
-    divergence_depth: int | None
     power_limit_ok: bool
     power_limit_value: float
 
@@ -106,7 +100,7 @@ class ControlClassReport:
 
 
 _CLASS_SAMPLES, _DEPTH, _POWER_DEPTH = 2048, 60, 40
-_DIVERGENCE_BOUND, _MIN_DECREMENT, _POWER_EPS = 1e3, 0.05, 1e-3
+_MIN_DECREMENT, _POWER_EPS = 0.05, 1e-3
 
 
 def verify_control_class(phi: ControlFunction) -> ControlClassReport:
@@ -116,9 +110,8 @@ def verify_control_class(phi: ControlFunction) -> ControlClassReport:
         (0, 100];
     (b) along t_n = 2^-n, n <= _DEPTH, the values must keep falling by
         at least _MIN_DECREMENT per step (a bounded-below sequence fails
-        this; actual crossing of -_DIVERGENCE_BOUND is recorded when it
-        happens -- slow diverging members such as ln reach large bounds
-        only at depths far beyond any fixed cutoff);
+        this; slow diverging members such as ln reach large negative
+        values only at depths far beyond any fixed cutoff);
     (c) |t^k phi(t)| <= _POWER_EPS at t = 2^-_POWER_DEPTH.
     """
     rng = np.random.default_rng(0)
@@ -131,21 +124,15 @@ def verify_control_class(phi: ControlFunction) -> ControlClassReport:
 
     ns = np.arange(1, _DEPTH + 1)
     dyadic = np.asarray(phi(2.0 ** (-ns.astype(float))), dtype=float)
-    decrements = np.diff(dyadic)
-    diverges = bool(np.all(decrements <= -_MIN_DECREMENT))
-    below = np.nonzero(dyadic < -_DIVERGENCE_BOUND)[0]
-    depth_hit = int(ns[below[0]]) if below.size else None
+    diverges = bool(np.all(np.diff(dyadic) <= -_MIN_DECREMENT))
 
     t_small = 2.0 ** (-float(_POWER_DEPTH))
     power_val = float(abs(t_small**phi.k_witness * float(np.asarray(phi(t_small)))))
     power_ok = power_val <= _POWER_EPS
 
     return ControlClassReport(
-        id=phi.id,
-        k_witness=phi.k_witness,
         strictly_increasing=increasing,
         diverges_at_zero=diverges,
-        divergence_depth=depth_hit,
         power_limit_ok=power_ok,
         power_limit_value=power_val,
     )
@@ -169,8 +156,6 @@ class WardowskiReport:
     pair needed checking (e.g. a constant map).
     """
 
-    tau: float
-    control_id: str
     checked: int
     violations: list[WardowskiViolation] = field(default_factory=list)
 
@@ -242,7 +227,7 @@ def verify_wardowski(
     if pairs is None:
         pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
     images = [t_map(x) for x in points]
-    report = WardowskiReport(tau=tau, control_id=phi.id, checked=0)
+    report = WardowskiReport(checked=0)
     for i, j in pairs:
         d_after = metric(images[i], images[j])
         if d_after <= 0.0:

@@ -19,7 +19,7 @@ Green-kernel pipeline.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -121,9 +121,11 @@ def catalog_g(name: str, params: GreenParams) -> Callable:
     raise ValueError(f"unknown catalog id {name!r}; available: {G_CATALOG_IDS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
-    """Full problem description.
+    """Full problem description: an immutable value, checked once when it
+    is made.  ``dataclasses.replace`` makes a changed copy and checks it
+    again.
 
     ``g`` is the regularized nonlinearity g(t, u) = t^sigma f(t, u), as a
     parsed Expression, expression text, a catalog id, or an
@@ -142,59 +144,54 @@ class ProblemSpec:
     max_iters: int = 200
     u_max: float = 10.0
     enforce_cone: bool = True
-    _g_resolved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("grid_points", "quad_points", "max_iters"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
-        for name in ("lambda_claim", "tau", "tol"):
+        for name in ("lambda_claim", "tau", "tol", "u_max"):
             val = getattr(self, name)
+            if isinstance(val, bool):
+                raise ValueError(f"{name} must be a number, got {val!r}")
             if not (val > 0.0 and np.isfinite(val)):
                 raise ValueError(f"{name} must be finite and > 0, got {val!r}")
+        if not isinstance(self.enforce_cone, (bool, np.bool_)):
+            raise ValueError(f"enforce_cone must be a bool, got {self.enforce_cone!r}")
         if not 1 <= self.quad_points <= MAX_POINTS:
             raise ValueError(f"quad_points must be in [1, {MAX_POINTS}]")
         if not 3 <= self.grid_points <= MAX_GRID:
             raise ValueError(f"grid_points must be in [3, {MAX_GRID}]")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.u_max > 0.0 and np.isfinite(self.u_max)):
-            raise ValueError(f"u_max must be finite and > 0, got {self.u_max!r}")
-        _check_g(self.g)
+        if not (isinstance(self.g, (str, Expression)) or callable(self.g)):
+            raise TypeError(
+                f"g must be an Expression, expression text, catalog id or callable, "
+                f"got {type(self.g)}"
+            )
 
     def g_callable(self) -> Callable:
         """g as an array callable.  Resolved, and expression text parsed,
-        on first use; reused until ``g`` or ``params`` is replaced."""
-        return self._g()[0]
+        on first use, then kept."""
+        return self._g[0]
 
     def g_reads_t(self) -> bool:
         """False when g is known not to depend on t: expressions without
         t.  The catalog ids read t, and a Python callable is taken to."""
-        return self._g()[1]
+        return self._g[1]
 
     def g_reads_u(self) -> bool:
         """False when g is known not to depend on u: the catalog ids and
         expressions without u.  A Python callable is taken to read u."""
-        return self._g()[2]
+        return self._g[2]
 
+    @functools.cached_property
     def _g(self) -> tuple[Callable, bool, bool]:
-        hit = self._g_resolved
-        if hit is None or hit[0] is not self.g or hit[1] is not self.params:
-            hit = self._g_resolved = (self.g, self.params, *_resolve_g(self.g, self.params))
-        return hit[2:]
-
-
-def _check_g(g) -> None:
-    if not (isinstance(g, (str, Expression)) or callable(g)):
-        raise TypeError(
-            f"g must be an Expression, expression text, catalog id or callable, got {type(g)}"
-        )
+        return _resolve_g(self.g, self.params)
 
 
 def _resolve_g(g: GFunction, params: GreenParams) -> tuple[Callable, bool, bool]:
     """g as an array callable, and whether it reads t and whether u."""
-    _check_g(g)
     if isinstance(g, str):
         if g in G_CATALOG_IDS:
             return catalog_g(g, params), True, False
@@ -223,16 +220,17 @@ def chebyshev_lobatto_nodes(m: int) -> np.ndarray:
     return (1.0 - np.cos(np.pi * np.arange(m) / (m - 1))) / 2.0
 
 
-def _bary_reciprocals(nodes: np.ndarray, x: np.ndarray):
-    """weights / (x - nodes) as one node-major (len(nodes), len(x)) array,
-    the points on the fast axis, and its column sums: the interpolant at
-    x is (values @ recip) / colsum, the second barycentric form (Berrut &
-    Trefethen, SIAM Rev. 46, 2004) with the weights of
-    ``chebyshev_lobatto_nodes(len(nodes))``.  An exact node hit, or a
-    near-hit where weight/diff overflowed, leaves a non-finite sum; such
-    columns, and zero-sum ones, snap to the nearest node (a one-hot
-    column with sum 1)."""
-    weights = np.ones(len(nodes))
+def _bary_reciprocals(m: int, x: np.ndarray):
+    """weights / (x - nodes) at the nodes ``chebyshev_lobatto_nodes(m)``,
+    as one node-major (m, len(x)) array, the points on the fast axis, and
+    its column sums: the interpolant at x is (values @ recip) / colsum,
+    the second barycentric form (Berrut & Trefethen, SIAM Rev. 46, 2004)
+    with the weights of those nodes.  An exact node hit, or a near-hit
+    where weight/diff overflowed, leaves a non-finite sum; such columns,
+    and zero-sum ones, snap to the nearest node (a one-hot column with
+    sum 1)."""
+    nodes = chebyshev_lobatto_nodes(m)
+    weights = np.ones(m)
     weights[1::2] = -1.0
     weights[[0, -1]] *= 0.5
     recip = np.subtract(x, nodes[:, None])
@@ -251,39 +249,38 @@ _INTERP_BLOCK = 1 << 21  # matrix entries (16 MB) per interpolation block
 
 @dataclass
 class SolutionGrid:
-    """Interpolable representation of a function on [0, 1].
-
-    ``nodes`` are ``chebyshev_lobatto_nodes(len(values))``, the only
-    nodes whose barycentric weights are known here; ``values`` the
-    function there.  Other nodes are a ValueError.
+    """Interpolable representation of a function on [0, 1]: its
+    ``values`` at ``nodes``, which are ``chebyshev_lobatto_nodes(len(values))``,
+    the nodes whose barycentric weights ``_bary_reciprocals`` knows.  A
+    grid is thus its size; ``values`` must be 1-d with at least 2 entries.
     """
 
-    nodes: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.nodes = np.asarray(self.nodes, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.nodes.shape != self.values.shape or self.nodes.ndim != 1:
-            raise ValueError("nodes and values must be 1-d arrays of equal length")
-        if not np.array_equal(self.nodes, chebyshev_lobatto_nodes(len(self.nodes))):
-            raise ValueError("nodes must be chebyshev_lobatto_nodes(len(values))")
+        if self.values.ndim != 1 or len(self.values) < 2:
+            raise ValueError("values must be a 1-d array of at least 2 entries")
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return chebyshev_lobatto_nodes(len(self.values))
 
     @classmethod
     def zeros(cls, m: int) -> "SolutionGrid":
-        return cls(chebyshev_lobatto_nodes(m), np.zeros(m))
+        return cls(np.zeros(m))
 
     @classmethod
     def constant(cls, c: float, m: int) -> "SolutionGrid":
-        nodes = chebyshev_lobatto_nodes(m)
-        vals = np.full(m, float(c))
-        vals[0] = vals[-1] = 0.0
-        return cls(nodes, vals)
+        grid = cls.zeros(m)
+        grid.values[1:-1] = c
+        return grid
 
     @classmethod
     def from_function(cls, fn, m: int) -> "SolutionGrid":
-        nodes = chebyshev_lobatto_nodes(m)
-        return cls(nodes, np.asarray(fn(nodes), dtype=float))
+        grid = cls.zeros(m)
+        grid.values[:] = fn(grid.nodes)
+        return grid
 
     def interpolate(self, x):
         """Barycentric interpolation, second form, at scalar or array x.
@@ -298,9 +295,10 @@ class SolutionGrid:
         if not np.all((flat >= 0.0) & (flat <= 1.0)):  # NaN fails too
             raise ValueError("interpolate: x must lie in [0, 1]")
         out = np.empty(flat.size)
-        step = max(1, _INTERP_BLOCK // len(self.nodes))
+        m = len(self.values)
+        step = max(1, _INTERP_BLOCK // m)
         for i in range(0, flat.size, step):
-            recip, colsum = _bary_reciprocals(self.nodes, flat[i:i + step])
+            recip, colsum = _bary_reciprocals(m, flat[i:i + step])
             out[i:i + step] = (self.values @ recip) / colsum
         if x_arr.ndim == 0:
             return float(out[0])
@@ -343,7 +341,7 @@ class DiscreteGreenOperator:
         if p.g_reads_u():
             m = len(values)
             if m not in self._maps:
-                self._maps[m] = _bary_reciprocals(chebyshev_lobatto_nodes(m), self.s.ravel())
+                self._maps[m] = _bary_reciprocals(m, self.s.ravel())
             recip, colsum = self._maps[m]
             u = ((values @ recip) / colsum).reshape(self.s.shape)
         else:
@@ -391,7 +389,7 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
         raise ValueError("grid of u does not match ProblemSpec.grid_points")
     op = _operator(_operators(p.params, p.grid_points, p.quad_points), p.params,
                    p.grid_points, p.quad_points)
-    return SolutionGrid(op.nodes, op.apply(u.values, p))
+    return SolutionGrid(op.apply(u.values, p))
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +579,7 @@ def solve(p: ProblemSpec, u0: SolutionGrid | None = None, uncertified: bool = Fa
             break
         below += len(deltas)
         grid, quad = up, n
-    return SolveResult(SolutionGrid(chebyshev_lobatto_nodes(m), u), deltas, certificate,
-                       len(deltas), below, grid)
+    return SolveResult(SolutionGrid(u), deltas, certificate, len(deltas), below, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +600,6 @@ class PositivityReport:
     forcing_positive_at_origin: bool
     min_interior: float
     verdict: str  # "verified positive" | "not-verified"
-
-    def to_dict(self) -> dict:
-        return {
-            "monotone_in_u": self.monotone_in_u,
-            "forcing_positive_at_origin": self.forcing_positive_at_origin,
-            "min_interior": self.min_interior,
-            "verdict": self.verdict,
-        }
 
 
 # u pairs sampled for the monotonicity check; the t at which the forcing
@@ -668,7 +657,6 @@ class ResidualProfile:
 
     checkpoints: np.ndarray
     residuals: np.ndarray
-    h: float
     floor: np.ndarray
 
     def max(self) -> float:
@@ -723,7 +711,7 @@ def _residual_plan(m: int, h: float) -> _ResidualPlan:
     ends = np.cumsum(terms)
     j = np.arange(ends[-1]) - np.repeat(ends - terms, terms)
     idx = np.repeat(at + _GL_SHIFT, terms) - j
-    recip = _bary_reciprocals(chebyshev_lobatto_nodes(m), h * np.arange(terms[-1]))
+    recip = _bary_reciprocals(m, h * np.arange(terms[-1]))
     for arr in (at, j, idx, *recip):
         arr.flags.writeable = False  # every later call shares them
     return _ResidualPlan(at, j, idx, recip)
@@ -766,4 +754,4 @@ def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> Res
     rhs = t ** (-sg) * np.asarray(g(t, lattice[plan.at]), dtype=float)
     floor = (np.finfo(float).eps * np.cumsum(np.abs(c))[terms - 1]
              * scale * np.max(np.abs(u.values)))
-    return ResidualProfile(t, np.abs(gl - rhs), h, floor)
+    return ResidualProfile(t, np.abs(gl - rhs), floor)

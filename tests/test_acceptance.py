@@ -21,7 +21,6 @@ from fraksolve.solver import (
     ProblemSpec,
     SolutionGrid,
     apply_green_operator,
-    chebyshev_lobatto_nodes,
     check_positivity,
     grunwald_letnikov_residual,
     solve,
@@ -145,7 +144,7 @@ def test_criterion_06_contraction_behavior(contraction_spec):
     rng = np.random.default_rng(17)
     vals = rng.uniform(0.0, 1.0, p.grid_points)
     vals[0] = vals[-1] = 0.0
-    rr = solve(p, u0=SolutionGrid(chebyshev_lobatto_nodes(p.grid_points), vals))
+    rr = solve(p, u0=SolutionGrid(vals))
     d01 = r0.u.sup_diff(r1.u)
     d0r = r0.u.sup_diff(rr.u)
     assert d01 <= 1e-8 and d0r <= 1e-8
@@ -160,12 +159,11 @@ def test_criterion_07_wardowski_harness(contraction_spec):
     phi = control_catalog("neg_inv_sqrt")
     cert_tau = p.tau
     rng = np.random.default_rng(4242)
-    nodes = chebyshev_lobatto_nodes(p.grid_points)
 
     def cone_element():
         vals = rng.uniform(0.0, p.u_max, size=p.grid_points)
         vals[0] = vals[-1] = 0.0
-        return SolutionGrid(nodes, vals)
+        return SolutionGrid(vals)
 
     points = [cone_element() for _ in range(2000)]
     pairs = [(2 * i, 2 * i + 1) for i in range(1000)]

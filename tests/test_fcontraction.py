@@ -132,12 +132,11 @@ def test_solver_operator_satisfies_inequality_on_cone_samples():
                     lambda_claim=0.1, tau=tau)
     rng = np.random.default_rng(21)
     m = p.grid_points
-    nodes = SolutionGrid.zeros(m).nodes
 
     def random_cone_element():
         vals = rng.uniform(0.0, p.u_max, size=m)
         vals[0] = vals[-1] = 0.0
-        return SolutionGrid(nodes, vals)
+        return SolutionGrid(vals)
 
     points = [random_cone_element() for _ in range(40)]
     images = {id(pt): apply_green_operator(pt, p) for pt in points}

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -96,7 +96,7 @@ def test_interpolation_never_nan(x):
 
 def _bary_map(nodes, x):
     """The normalised barycentric map, one column per point of x."""
-    recip, colsum = solver_module._bary_reciprocals(nodes, x)
+    recip, colsum = solver_module._bary_reciprocals(len(nodes), x)
     return recip / colsum
 
 
@@ -167,24 +167,30 @@ def test_operator_map_matches_pointwise_barycentric_sum(m_in, grid, quad):
     x = np.concatenate([s.ravel()[::97], nodes, np.nextafter(nodes, -1.0)[1:],
                         np.nextafter(nodes, 2.0)[:-1]])
     values = 1.5 + np.sin(3.0 * nodes) + nodes**2
-    recip, colsum = solver_module._bary_reciprocals(nodes, x)
+    recip, colsum = solver_module._bary_reciprocals(len(nodes), x)
     assert recip.shape == (m_in, x.size) and colsum.shape == (x.size,)
     want = [_bary_pointwise(nodes.tolist(), values.tolist(), xi) for xi in x.tolist()]
     np.testing.assert_allclose((values @ recip) / colsum, want, rtol=1e-13, atol=0.0)
 
 
 def test_solution_grid_validation():
-    with pytest.raises(ValueError):
-        SolutionGrid(np.zeros(3), np.zeros(4))
+    for values in (np.zeros((3, 4)), np.zeros((33, 1)), np.zeros(1), np.zeros(0), 0.0):
+        with pytest.raises(ValueError, match="^values must be a 1-d array of at least 2 entries$"):
+            SolutionGrid(values)
 
 
-def test_solution_grid_refuses_nodes_it_cannot_weight():
-    # the barycentric weights are those of Chebyshev-Lobatto nodes; on
-    # equispaced ones the interpolant would be off by 4e-4 for sin(3t)+t^3
-    with pytest.raises(ValueError, match=r"^nodes must be chebyshev_lobatto_nodes\(len\(values\)\)$"):
-        SolutionGrid(np.linspace(0.0, 1.0, 65), np.zeros(65))
-    with pytest.raises(ValueError):
-        SolutionGrid(chebyshev_lobatto_nodes(33)[::-1], np.zeros(33))
+@pytest.mark.parametrize("m", [2, 3, 33, 257])
+def test_solution_grid_nodes_are_its_size(m):
+    # the grid holds only its values: its nodes are those its barycentric
+    # weights fit, whichever way it was built
+    vals = np.linspace(0.0, 1.0, m)
+    for grid in (SolutionGrid(vals), SolutionGrid.zeros(m), SolutionGrid.constant(2.0, m),
+                 SolutionGrid.from_function(np.sin, m)):
+        assert [f.name for f in fields(grid)] == ["values"]
+        assert np.array_equal(grid.nodes, chebyshev_lobatto_nodes(m))
+    assert np.array_equal(SolutionGrid.from_function(np.sin, m).values,
+                          np.sin(chebyshev_lobatto_nodes(m)))
+    assert SolutionGrid.constant(2.0, m).values.tolist() == [0.0] + [2.0] * (m - 2) + [0.0]
 
 
 # --- operator ---------------------------------------------------------------
@@ -325,7 +331,7 @@ def test_solve_unique_limit_from_multiple_starts():
     rng = np.random.default_rng(11)
     vals = rng.uniform(0.0, 1.0, 33)
     vals[0] = vals[-1] = 0.0
-    rr = solve(p, u0=SolutionGrid(chebyshev_lobatto_nodes(33), vals))
+    rr = solve(p, u0=SolutionGrid(vals))
     assert r0.u.sup_diff(r1.u) <= 10 * p.tol
     assert r0.u.sup_diff(rr.u) <= 10 * p.tol
 
@@ -458,7 +464,7 @@ def interpolated_start(p):
     nodes = chebyshev_lobatto_nodes(p.grid_points)
     vals = np.maximum(coarse.u.interpolate(nodes), 0.0)
     vals[0] = vals[-1] = 0.0
-    return SolutionGrid(nodes, vals)
+    return SolutionGrid(vals)
 
 
 @pytest.mark.parametrize("alpha", [3.01, 3.5, 4.0])
@@ -521,7 +527,7 @@ def test_expression_parsed_once_per_spec(monkeypatch):
     check_positivity(p, result.u)
     grunwald_letnikov_residual(p, result.u, 1e-3)
     assert len(calls) == 1
-    p.g = "2 + u"  # a replaced g is resolved afresh
+    p = replace(p, g="2 + u")  # a changed copy resolves its g afresh
     assert p.g_callable()(0.5, 1.0) == 3.0 and len(calls) == 2
 
 
@@ -642,8 +648,7 @@ def test_u_free_solve_builds_one_operator_and_no_map():
 def test_g_reads_u_is_derived_from_g(g, reads):
     p = spec_for(g)
     assert p.g_reads_u() is reads
-    p.g = "u"  # the memo follows a replaced g
-    assert p.g_reads_u()
+    assert replace(p, g="u").g_reads_u()
 
 
 @pytest.mark.parametrize("g, reads", [
@@ -654,8 +659,7 @@ def test_g_reads_u_is_derived_from_g(g, reads):
 def test_g_reads_t_is_derived_from_g(g, reads):
     p = spec_for(g)
     assert p.g_reads_t() is reads
-    p.g = "t"  # the memo follows a replaced g
-    assert p.g_reads_t()
+    assert replace(p, g="t").g_reads_t()
 
 
 def test_problem_spec_validation():
@@ -680,6 +684,44 @@ def test_problem_spec_validation():
             spec_for("1", lam=bad)
     with pytest.raises(TypeError):
         spec_for(12345)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ProblemSpec)])
+def test_problem_spec_is_frozen(key):
+    # a field assigned after the checks would skip them
+    p = spec_for("1 + 0.1*u")
+    with pytest.raises(FrozenInstanceError):
+        setattr(p, key, getattr(p, key))
+    assert p == spec_for("1 + 0.1*u") and not hasattr(p, "_g_resolved")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid_points", 1025), ("grid_points", 2), ("u_max", math.nan),
+])
+def test_problem_spec_replace_checks_again(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        replace(spec_for("1 + 0.1*u"), **{key: value})
+
+
+@pytest.mark.parametrize("key", ["lambda_claim", "tau", "tol", "u_max"])
+def test_problem_spec_refuses_bool_numbers(key):
+    # True would pass as 1.0: the CLI refuses a JSON bool there too
+    with pytest.raises(ValueError, match=f"^{key} must be a number, got True$"):
+        replace(spec_for("1"), **{key: True})
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.array([True])])
+def test_problem_spec_refuses_non_bool_enforce_cone(value):
+    # "no" is truthy: taken as a truth value it would enforce the cone
+    with pytest.raises(ValueError, match="^enforce_cone must be a bool, got "):
+        spec_for("manufactured", enforce_cone=value)
+
+
+def test_problem_spec_accepts_numpy_bool_enforce_cone():
+    p = spec_for("manufactured", lam=1.0, enforce_cone=np.bool_(False))
+    assert solve(p).u.values.shape == (33,)
+    with pytest.raises(ConeViolationError):
+        solve(replace(p, enforce_cone=np.bool_(True)))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -998,14 +1040,10 @@ def test_residual_plan_reused_for_new_values_not_for_new_nodes():
     h = 1e-3
     u1 = SolutionGrid.from_function(u_star, 65)
     grunwald_letnikov_residual(RESIDUAL_SPEC, u1, h)
-    u2 = SolutionGrid(u1.nodes, np.sin(np.pi * u1.nodes) ** 2)
+    u2 = SolutionGrid(np.sin(np.pi * u1.nodes) ** 2)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u2, h)
     assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 1)
     assert np.array_equal(prof.residuals, _residual_uncached(RESIDUAL_SPEC, u2, h))
-    # same length, other nodes: no grid to plan for, as the plan holds
-    # Chebyshev-Lobatto weights
-    with pytest.raises(ValueError, match="chebyshev_lobatto_nodes"):
-        SolutionGrid(np.linspace(0.0, 1.0, 65), u2.values)
     # another size: a plan of its own
     u3 = SolutionGrid.from_function(u_star, 33)
     prof = grunwald_letnikov_residual(RESIDUAL_SPEC, u3, h)
