@@ -179,6 +179,20 @@ def test_solution_grid_validation():
             SolutionGrid(values)
 
 
+def test_solution_grid_refuses_nodes_it_cannot_weight():
+    # the barycentric weights are those of Chebyshev-Lobatto nodes; on
+    # equispaced ones the interpolant would be off by 4e-4 for sin(3t)+t^3,
+    # so a grid takes no nodes at all and its own cannot be replaced
+    with pytest.raises(TypeError):
+        SolutionGrid(np.linspace(0.0, 1.0, 65), np.zeros(65))
+    with pytest.raises(TypeError):
+        SolutionGrid(np.zeros(33), nodes=chebyshev_lobatto_nodes(33)[::-1])
+    grid = SolutionGrid(np.zeros(65))
+    with pytest.raises(AttributeError):
+        grid.nodes = np.linspace(0.0, 1.0, 65)
+    assert np.array_equal(grid.nodes, chebyshev_lobatto_nodes(65))
+
+
 @pytest.mark.parametrize("m", [2, 3, 33, 257])
 def test_solution_grid_nodes_are_its_size(m):
     # the grid holds only its values: its nodes are those its barycentric
