@@ -38,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 _README_G = '--alpha 3.5 --sigma 0.5 --g "1 + 0.1*ln(1+u)" --lambda 0.5 --tau 1'
 _LADDER_G = '--g "1+20*u/(1+sqrt(u))^2" --lambda 20 --tau 1'
 _SIGNED = "--alpha 3.5 --sigma 0.5 --g manufactured --lambda 1 --tau 1 --allow-signed-g"
+# committed problem files, read by absolute path from this checkout on both sides
+_PROBLEMS = ROOT / "scripts" / "problems"
 
 # fraksolve arguments; every exit code of the command line is reached
 REFERENCE_COMMANDS = (
@@ -70,6 +72,9 @@ REFERENCE_COMMANDS = (
     "verify --seed 7 --perturb-kernel 1e-3 --out out",  # 4
     "--help",
     "kernel --alpha 3.5 --sigma 0.5 --out out",
+    # JSON integers, integral floats as sizes (33.0) and enforce_cone
+    f"solve {shlex.quote(str(_PROBLEMS / 'integral_sizes.json'))} --out out",
+    f"solve {shlex.quote(str(_PROBLEMS / 'tau_text.json'))} --out out",  # 1: "tau": "1"
     "verify --seed 0 --out out",
     "verify --seed 7 --out out",
     "verify --seed 12345 --out out",

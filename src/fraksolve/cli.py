@@ -93,52 +93,25 @@ def _load_problem_file(path: str) -> dict:
     return data
 
 
-def _float_field(data: dict, key: str) -> float:
-    """A numeric problem field: a JSON number, not a bool or a string."""
-    val = data[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValueError(f"{key} must be a number, got {type(val).__name__}")
-    try:
-        return float(val)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{key} is out of range") from None
-
-
-def _int_field(data: dict, key: str) -> int:
-    """An integer problem field; 33.0 is accepted, 33.7 is an error."""
-    val = _float_field(data, key)
-    if not val.is_integer():
-        raise ValueError(f"{key} must be an integer, got {val!r}")
-    return int(val)
-
-
-def _bool_field(data: dict, key: str) -> bool:
-    """A problem field that must be JSON true or false."""
-    val = data[key]
-    if not isinstance(val, bool):
-        raise ValueError(f"{key} must be true or false, got {type(val).__name__}")
-    return val
-
-
 # One row per problem field, in flag order: JSON key (the ProblemSpec
 # argument of that name, save that alpha and sigma form its GreenParams and
 # lambda is its lambda_claim), solve flag (None: file only), argparse type,
-# reader of the JSON value, flag help, and whether the field is required;
-# optional fields left out take ProblemSpec's defaults.
-_Field = namedtuple("_Field", "key flag type read help required", defaults=(False,))
+# flag help, and whether the field is required; optional fields left out
+# take ProblemSpec's defaults.  Values go to GreenParams and ProblemSpec as
+# given, and those check them.
+_Field = namedtuple("_Field", "key flag type help required", defaults=(False,))
 _FIELDS = (
-    _Field("alpha", "--alpha", float, _float_field, None, True),
-    _Field("sigma", "--sigma", float, _float_field, None, True),
-    _Field("g", "--g", str, dict.__getitem__,  # as given: ProblemSpec checks it
-           "regularized nonlinearity g(t,u), an expression in t and u", True),
-    _Field("lambda", "--lambda", float, _float_field, "claimed contraction constant", True),
-    _Field("tau", "--tau", float, _float_field, None, True),
-    _Field("tol", "--tol", float, _float_field, None),
-    _Field("grid_points", "--grid", int, _int_field, "collocation grid size"),
-    _Field("quad_points", "--quad", int, _int_field, "quadrature points per panel"),
-    _Field("max_iters", "--max-iters", int, _int_field, None),
-    _Field("u_max", "--umax", float, _float_field, "certificate sampling range for u"),
-    _Field("enforce_cone", None, None, _bool_field, None),
+    _Field("alpha", "--alpha", float, None, True),
+    _Field("sigma", "--sigma", float, None, True),
+    _Field("g", "--g", str, "regularized nonlinearity g(t,u), an expression in t and u", True),
+    _Field("lambda", "--lambda", float, "claimed contraction constant", True),
+    _Field("tau", "--tau", float, None, True),
+    _Field("tol", "--tol", float, None),
+    _Field("grid_points", "--grid", int, "collocation grid size"),
+    _Field("quad_points", "--quad", int, "quadrature points per panel"),
+    _Field("max_iters", "--max-iters", int, None),
+    _Field("u_max", "--umax", float, "certificate sampling range for u"),
+    _Field("enforce_cone", None, None, None),
 )
 
 
@@ -152,9 +125,11 @@ def _build_spec(args) -> ProblemSpec:
     missing = [f.key for f in _FIELDS if f.required and f.key not in data]
     if missing:
         raise ValueError(f"missing problem fields: {missing} (supply a file or flags)")
-    vals = {f.key: f.read(data, f.key) for f in _FIELDS if f.key in data}
-    params = GreenParams(vals.pop("alpha"), vals.pop("sigma"))
-    spec = ProblemSpec(params, lambda_claim=vals.pop("lambda"), **vals)
+    for f in _FIELDS:  # JSON has one number type: 33.0 in a size field is 33
+        if f.type is int and isinstance(data.get(f.key), float) and data[f.key].is_integer():
+            data[f.key] = int(data[f.key])
+    params = GreenParams(data.pop("alpha"), data.pop("sigma"))
+    spec = ProblemSpec(params, lambda_claim=data.pop("lambda"), **data)
     spec.g_callable()  # syntax errors surface with their offset before any work
     return spec
 

@@ -10,6 +10,7 @@ forcings.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +30,30 @@ __all__ = [
 _SIGMA_GAP = 1e-8
 
 
+def _real(name: str, value, kind: type = float):
+    """``value`` as a ``kind`` (float or int), or a ValueError naming field
+    ``name``: a float field takes a ``numbers.Real``, an int field a
+    ``numbers.Integral``, never a bool, a string or an array (0-d too)."""
+    abc, what = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} is out of range") from None
+
+
 @dataclass(frozen=True)
 class GreenParams:
     """Problem parameters: fractional order alpha in (3, 4], singularity
-    exponent sigma in (0, 1 - 1e-8]."""
+    exponent sigma in (0, 1 - 1e-8], real numbers kept as floats."""
 
     alpha: float
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "sigma"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 3.0 < self.alpha <= 4.0:
             raise ValueError(f"alpha must be in (3, 4], got {self.alpha!r}")
         if not 0.0 < self.sigma < 1.0:

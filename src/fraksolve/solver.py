@@ -26,7 +26,7 @@ import numpy as np
 
 from . import exprparse
 from .exprparse import Expression
-from .kernel import GreenParams, green_weight_integral_max
+from .kernel import GreenParams, _real, green_weight_integral_max
 from .quadrature import MAX_POINTS, split_panels
 from .specfun import gamma
 
@@ -124,8 +124,8 @@ def catalog_g(name: str, params: GreenParams) -> Callable:
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full problem description: an immutable value, checked once when it
-    is made.  ``dataclasses.replace`` makes a changed copy and checks it
-    again.
+    is made, its sizes kept as ints and its numbers as floats (``_real``).
+    ``dataclasses.replace`` makes a changed copy and checks it again.
 
     ``g`` is the regularized nonlinearity g(t, u) = t^sigma f(t, u), as a
     parsed Expression, expression text, a catalog id, or an
@@ -147,15 +147,12 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         for name in ("grid_points", "quad_points", "max_iters"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name), int))
         for name in ("lambda_claim", "tau", "tol", "u_max"):
-            val = getattr(self, name)
-            if isinstance(val, bool):
-                raise ValueError(f"{name} must be a number, got {val!r}")
-            if not (val > 0.0 and np.isfinite(val)):
+            val = _real(name, getattr(self, name))
+            if not 0.0 < val < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {val!r}")
+            object.__setattr__(self, name, val)
         if not isinstance(self.enforce_cone, (bool, np.bool_)):
             raise ValueError(f"enforce_cone must be a bool, got {self.enforce_cone!r}")
         if not 1 <= self.quad_points <= MAX_POINTS:
@@ -252,7 +249,8 @@ class SolutionGrid:
     """Interpolable representation of a function on [0, 1]: its
     ``values`` at ``nodes``, which are ``chebyshev_lobatto_nodes(len(values))``,
     the nodes whose barycentric weights ``_bary_reciprocals`` knows.  A
-    grid is thus its size; ``values`` must be 1-d with at least 2 entries.
+    grid is thus its size; ``values`` must be 1-d with at least 2 entries,
+    all finite.
     """
 
     values: np.ndarray
@@ -261,6 +259,9 @@ class SolutionGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or len(self.values) < 2:
             raise ValueError("values must be a 1-d array of at least 2 entries")
+        if not np.all(np.isfinite(self.values)):
+            i = int(np.argmin(np.isfinite(self.values)))  # the first non-finite entry
+            raise ValueError(f"values must be finite, got {self.values[i]:g} at index {i}")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -272,15 +273,15 @@ class SolutionGrid:
 
     @classmethod
     def constant(cls, c: float, m: int) -> "SolutionGrid":
-        grid = cls.zeros(m)
-        grid.values[1:-1] = c
-        return grid
+        values = np.zeros(m)
+        values[1:-1] = c
+        return cls(values)
 
     @classmethod
     def from_function(cls, fn, m: int) -> "SolutionGrid":
-        grid = cls.zeros(m)
-        grid.values[:] = fn(grid.nodes)
-        return grid
+        values = np.zeros(m)
+        values[:] = fn(chebyshev_lobatto_nodes(m))
+        return cls(values)
 
     def interpolate(self, x):
         """Barycentric interpolation, second form, at scalar or array x.
@@ -663,10 +664,13 @@ class ResidualProfile:
         return float(np.max(self.residuals))
 
 
-def check_residual_step(h: float) -> None:
-    """Raise ValueError unless h is a step the residual oracle accepts."""
+def check_residual_step(h: float) -> float:
+    """h as a float, if it is a step the residual oracle accepts (a real
+    number, ``_real``, in [1e-4, 1e-2]); else ValueError."""
+    h = _real("h", h)
     if not 1e-4 <= h <= 1e-2:
         raise ValueError(f"h must lie in [1e-4, 1e-2], got {h!r}")
+    return h
 
 
 def _gl_coeffs(alpha: float, count: int) -> np.ndarray:
@@ -735,7 +739,7 @@ def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> Res
     u's grid size and h only, so it is built once per (grid size, h); the
     last two plans are kept, at most 8,003 * m doubles each.
     """
-    check_residual_step(h)
+    h = check_residual_step(h)
     a, sg = p.params.alpha, p.params.sigma
     g = p.g_callable()
     plan = _residual_plan(len(u.values), h)

@@ -4,6 +4,7 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from fraksolve import cli
 from fraksolve.cli import main
+from fraksolve.kernel import GreenParams
+from fraksolve.solver import ProblemSpec
 
 MANUFACTURED = {
     "alpha": 3.5,
@@ -333,6 +336,90 @@ def test_solve_malformed_problem_field_is_bad_input(bad):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
         assert not out.exists()
+
+
+# Every kind of value the input rules sort: text, None, bools (numpy's
+# too), numpy scalars, 0-d and 1-d arrays, lists, ints beyond the float
+# range, and floats with +-inf, NaN and negatives; then, per field, valid
+# values, sizes also as integral floats (33.0, which only a problem file
+# reads as 33).
+_ANY_VALUE = st.one_of(
+    st.text(max_size=3), st.none(), st.booleans(), st.booleans().map(np.bool_),
+    st.integers(-10, 2000), st.integers(min_value=2**1024), st.integers(max_value=-2**1024),
+    st.floats(), st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats().map(np.array), st.lists(st.floats(), max_size=2),
+    st.lists(st.floats(), min_size=1, max_size=2).map(np.array),
+)
+_POSITIVE = st.floats(1e-300, 1e300)
+_VALID = {
+    "alpha": st.floats(3.0, 4.0, exclude_min=True),
+    "sigma": st.floats(0.0, 0.99, exclude_min=True),
+    "lambda": _POSITIVE, "tau": _POSITIVE, "tol": _POSITIVE, "u_max": _POSITIVE,
+    "grid_points": st.integers(3, 1024), "quad_points": st.integers(1, 256),
+    "max_iters": st.integers(1, 10**6),
+    "enforce_cone": st.booleans(),
+}
+_SIZES = ("grid_points", "quad_points", "max_iters")
+
+
+class _Accepted(Exception):
+    """Raised in place of the certificate: the command line built its spec."""
+
+
+def _library(key, value):
+    """What the library keeps of ``value`` in field ``key`` (a problem
+    file key) of the MANUFACTURED problem, or the ValueError it raises."""
+    fields = {"lambda_claim" if k == "lambda" else k: v for k, v in MANUFACTURED.items()}
+    name = "lambda_claim" if key == "lambda" else key
+    fields[name] = value
+    try:
+        params = GreenParams(fields.pop("alpha"), fields.pop("sigma"))
+        if name in ("alpha", "sigma"):
+            return getattr(params, name)
+        return getattr(ProblemSpec(params, **fields), name)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(_VALID)).flatmap(
+    lambda key: st.tuples(st.just(key), _ANY_VALUE | _VALID[key]
+                          | (_VALID[key].map(float) if key in _SIZES else st.nothing()))))
+@example(field=("tau", "1"))
+@example(field=("tau", np.array(1.0)))
+@example(field=("lambda", 10**400))
+@example(field=("grid_points", 33.0))
+@example(field=("grid_points", 33.5))
+@example(field=("enforce_cone", np.bool_(False)))
+def test_library_and_command_line_agree_on_every_field(field):
+    key, value = field
+    kept = _library(key, value)
+    if isinstance(kept, ValueError):  # refused, naming the field
+        assert str(kept).startswith("lambda_claim " if key == "lambda" else f"{key} ")
+    elif key == "enforce_cone":
+        assert isinstance(kept, (bool, np.bool_)) and kept == value
+    else:  # a number, kept normalised
+        kind = int if key in _SIZES else float
+        assert not isinstance(value, (bool, np.bool_, str, list, np.ndarray, type(None)))
+        assert type(kept) is kind and kept == kind(value)
+    if type(value) not in (str, type(None), bool, int, float, list):
+        return  # no JSON value
+    # a problem file's 33.0 is a size of 33: the one rule the command line adds
+    if key in _SIZES and isinstance(value, float) and value.is_integer():
+        kept = _library(key, int(value))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "p.json", Path(tmp) / "x"
+        path.write_text(json.dumps({**MANUFACTURED, key: value}))
+        with mock.patch.object(cli, "certify_contraction", side_effect=_Accepted), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(["solve", str(path), "--out", str(out)])
+            except _Accepted:
+                code = None
+        if isinstance(kept, ValueError):
+            assert (code, err.getvalue()) == (1, f"error: {kept}\n") and not out.exists()
+        else:
+            assert (code, err.getvalue()) == (None, "")
 
 
 @pytest.mark.parametrize("extra", [[], ["--uncertified"]], ids=["certified", "uncertified"])

@@ -33,6 +33,27 @@ def test_params_validation():
         GreenParams(3.5, 1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("alpha, sigma, message", [
+    ("3.5", 0.5, "alpha must be a number, got '3.5'"),
+    (3.5, None, "sigma must be a number, got None"),
+    (np.array([3.5, 3.6]), 0.5, "alpha must be a number, got array([3.5, 3.6])"),
+    (np.array(3.5), 0.5, "alpha must be a number, got array(3.5)"),  # 0-d arrays too
+    (True, 0.5, "alpha must be a number, got True"),
+    (3.5, np.bool_(True), "sigma must be a number, got np.True_"),
+    (10**400, 0.5, "alpha is out of range"),
+])
+def test_params_must_be_real_numbers(alpha, sigma, message):
+    with pytest.raises(ValueError) as exc:
+        GreenParams(alpha, sigma)
+    assert str(exc.value) == message
+
+
+def test_params_are_kept_as_floats():
+    p = GreenParams(4, np.float32(0.5))
+    assert type(p.alpha) is float and type(p.sigma) is float
+    assert p == GreenParams(4.0, 0.5)
+
+
 def test_green_anchor_values():
     p = GreenParams(3.5, 0.5)
     assert green_eval(p, 0.0, 0.3) == 0.0

@@ -1,6 +1,9 @@
 import json
 import math
+import re
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from fraksolve.solver import (
     certify_contraction,
     chebyshev_lobatto_nodes,
     check_positivity,
+    check_residual_step,
     grunwald_letnikov_residual,
     solve,
 )
@@ -191,6 +195,32 @@ def test_solution_grid_refuses_nodes_it_cannot_weight():
     with pytest.raises(AttributeError):
         grid.nodes = np.linspace(0.0, 1.0, 65)
     assert np.array_equal(grid.nodes, chebyshev_lobatto_nodes(65))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solution_grid_refuses_non_finite_values(bad):
+    values = np.ones(33)
+    values[[1, 5]] = bad, math.nan
+    message = f"^values must be finite, got {bad} at index 1$"
+    with pytest.raises(ValueError, match=message):
+        SolutionGrid(values)
+    with pytest.raises(ValueError, match=message):
+        SolutionGrid.from_function(lambda t: np.where(t == t[1], bad, t), 33)
+    with pytest.raises(ValueError, match=message):
+        SolutionGrid.constant(bad, 33)
+
+
+@pytest.mark.parametrize("g", ["1 + 0.1*u", lambda t, u: 1.0 + 0.1 * u], ids=["expr", "callable"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_start_is_refused_before_any_sweep(g, bad):
+    # a NaN start once blamed g (EvalDomainError) or ran max_iters NaN
+    # sweeps (a Python g); an inf one also warned from the matmul
+    values = SolutionGrid.constant(1.0, 33).values
+    values[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^values must be finite, got {bad} at index 1$"):
+            solve(spec_for(g, lam=1.0), u0=SolutionGrid(values), uncertified=True)
 
 
 @pytest.mark.parametrize("m", [2, 3, 33, 257])
@@ -722,6 +752,49 @@ def test_problem_spec_refuses_bool_numbers(key):
     # True would pass as 1.0: the CLI refuses a JSON bool there too
     with pytest.raises(ValueError, match=f"^{key} must be a number, got True$"):
         replace(spec_for("1"), **{key: True})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("tau", "1", "tau must be a number, got '1'"),
+    ("tol", None, "tol must be a number, got None"),
+    ("u_max", np.array([1.0, 2.0]), "u_max must be a number, got array([1., 2.])"),
+    ("tau", np.array(1.0), "tau must be a number, got array(1.)"),  # 0-d arrays too
+    ("lambda_claim", 10**400, "lambda_claim is out of range"),
+    ("grid_points", np.array(33), "grid_points must be an integer, got array(33)"),
+    ("max_iters", "200", "max_iters must be an integer, got '200'"),
+])
+def test_problem_spec_names_the_field_of_a_value_that_is_no_number(key, value, message):
+    with pytest.raises(ValueError) as exc:
+        replace(spec_for("1"), **{key: value})
+    assert str(exc.value) == message
+
+
+def test_problem_spec_keeps_sizes_as_ints_and_numbers_as_floats():
+    p = spec_for("1", lam=Fraction(1, 10), tau=np.float32(2.0), tol=np.int64(1), u_max=10,
+                 grid_points=np.int64(17), quad_points=np.uint8(8), max_iters=200)
+    kept = {name: getattr(p, name) for name in ("lambda_claim", "tau", "tol", "u_max")}
+    assert kept == {"lambda_claim": 0.1, "tau": 2.0, "tol": 1.0, "u_max": 10.0}
+    assert {type(v) for v in kept.values()} == {float}
+    assert (p.grid_points, p.quad_points, p.max_iters) == (17, 8, 200)
+    assert {type(v) for v in (p.grid_points, p.quad_points, p.max_iters)} == {int}
+
+
+@pytest.mark.parametrize("h", ["0.001", None, [1e-3], np.array(1e-3), True])
+def test_residual_step_must_be_a_number(h):
+    with pytest.raises(ValueError, match=f"^h must be a number, got {re.escape(repr(h))}$"):
+        check_residual_step(h)
+    with pytest.raises(ValueError, match="^h must be a number, got "):
+        grunwald_letnikov_residual(spec_for("1"), SolutionGrid.zeros(33), h)
+
+
+def test_residual_step_is_kept_as_a_float():
+    p = spec_for("1 + 0.1*u")
+    u = solve(p, uncertified=True).u
+    assert check_residual_step(Fraction(1, 1000)) == 1e-3
+    assert type(check_residual_step(np.float32(2 ** -10))) is float
+    want = grunwald_letnikov_residual(p, u, 1e-3)
+    got = grunwald_letnikov_residual(p, u, Fraction(1, 1000))
+    assert np.array_equal(got.residuals, want.residuals)
 
 
 @pytest.mark.parametrize("value", ["no", 0, 1, None, np.array([True])])
