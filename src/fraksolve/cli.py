@@ -33,7 +33,7 @@ from .kernel import (
     green_weight_integral_max,
     origin_continuity_bound,
 )
-from .quadrature import MAX_POINTS, integrate_green, jacobi_rule, panel_sums, split_panels
+from .quadrature import MAX_POINTS, integrate_green, jacobi_rule, product_weights, shared_samples
 from .solver import (
     MAX_GRID,
     ConeViolationError,
@@ -265,32 +265,40 @@ def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[dict]:
     return checks
 
 
-# points per panel of the split rule the combination checks run
+# reference points of the product rule the combination checks run, and
+# the 32 interior points they check it at
 _COMBO_QUAD = 48
+_COMBO_T = np.linspace(0.0, 1.0, 34)[1:-1]
+
+
+@functools.cache  # called with the nine sweep pairs only
+def _combo_weights(alpha: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The product-rule weights at ``_COMBO_T`` with ``_COMBO_QUAD``
+    reference points, and the integrals of cos by the rule of twice as
+    many, all that ``split_consistency`` reads of it."""
+    params = GreenParams(alpha, sigma)
+    doubled = product_weights(params, _COMBO_T, 2 * _COMBO_QUAD)
+    return product_weights(params, _COMBO_T, _COMBO_QUAD), doubled @ np.cos(shared_samples())
 
 
 def _combo_checks(alpha: float, sigma: float) -> list[dict]:
     params = GreenParams(alpha, sigma)
     tag = f"alpha_{alpha:g}_sigma_{sigma:g}"
-    one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-    ts = np.linspace(0.0, 1.0, 34)[1:-1]  # 32 interior points
-    rule = split_panels(params, ts, _COMBO_QUAD)
-    consist = np.max(np.abs(panel_sums(rule, one) - green_weight_integral(params, ts)))
+    ts, s = _COMBO_T, shared_samples()
+    weights, doubled_cos = _combo_weights(alpha, sigma)
+    consist = np.max(np.abs(weights.sum(axis=1) - green_weight_integral(params, ts)))
     checks = [_check(f"weight_integral_consistency_{tag}", consist, 1e-8)]
     ends = max(abs(green_weight_integral(params, 0.0)), abs(green_weight_integral(params, 1.0)))
     checks.append(_check(f"weight_integral_boundary_{tag}", ends, 1e-12))
-    fcos = lambda s: np.cos(np.asarray(s, dtype=float))
-    split = np.max(
-        np.abs(panel_sums(rule, fcos) - panel_sums(split_panels(params, ts, 2 * _COMBO_QUAD), fcos))
-    )
+    split = np.max(np.abs(weights @ np.cos(s) - doubled_cos))
     checks.append(_check(f"split_consistency_{tag}", split, 1e-9))
     # |H(t) - H(0)| dominated by the closed bound, for sampled bounded forcings
     worst = -math.inf
     tb = ts[::4]
-    rule_b = tuple(a[::4] for a in rule)  # the rows of tb
-    for f_reg in (one, fcos, lambda s: 0.25 + np.asarray(s)):
-        m_bound = float(np.max(np.abs(f_reg(np.linspace(0.0, 1.0, 2001)))))
-        h_t = np.abs(panel_sums(rule_b, f_reg))
+    fine = np.linspace(0.0, 1.0, 2001)
+    for f_reg in (np.ones_like, np.cos, lambda x: 0.25 + x):
+        m_bound = float(np.max(np.abs(f_reg(fine))))
+        h_t = np.abs(weights[::4] @ f_reg(s))
         bound = [origin_continuity_bound(params, float(t), m_bound) for t in tb]
         worst = max(worst, float(np.max(h_t - bound)))
     checks.append(_check(f"origin_bound_domination_{tag}", worst, 1e-12))

@@ -1,11 +1,17 @@
 """Gauss-Jacobi quadrature on [0, 1] for the singular weight s^(-sigma),
-and the split composite scheme integrating the Green kernel against
+and the product-integration rule that integrates the Green kernel against
 forcings that carry that singularity.
 
-``split_panels`` builds that scheme's sample points and coefficients for
-a whole vector of t at once; the solver's collocation operator, and
-``integrate_green`` with it the verification suite, both use it, so
-there is one implementation of the split rule.
+The product rule samples a forcing at P fixed points ``shared_samples()``,
+the same for every t: ``SAMPLES_PER_PANEL`` Gauss-Legendre points on each
+panel of one layout of [0, 1] that is graded geometrically toward both
+ends.  ``product_weights`` gives, for a vector of t, the (len(t), P)
+matrix W with W[i, p] = integral of G(t_i, s) s^(-sigma) l_p(s) ds, where
+l_p is the piecewise Lagrange basis on the samples; W @ f_reg(samples)
+integrates the piecewise-polynomial interpolant of f_reg against the
+kernel (product integration, Atkinson 1997, section 4.2).  The solver's
+collocation operator and ``integrate_green``, and with it the verification
+suite, both use W, so there is one quadrature of the kernel.
 
 Rules come from the three-term recurrence of the Jacobi-type orthogonal
 polynomials by the Golub-Welsch method: LAPACK's symmetric eigensolver,
@@ -14,8 +20,6 @@ most recently used rules are cached per (size, exponents) and shared
 read-only.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from typing import NamedTuple
@@ -23,15 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import GreenParams, green_eval
-from .specfun import beta
+from .specfun import beta, gamma
 
 __all__ = [
     "QuadRule",
     "jacobi_rule",
     "legendre_rule",
     "integrate_green",
-    "split_panels",
-    "panel_sums",
     "MAX_POINTS",
     "RuleConfigError",
 ]
@@ -109,50 +111,326 @@ def legendre_rule(n: int) -> QuadRule:
     return QuadRule(*_jacobi01(n, 0.0, 0.0))
 
 
-def split_panels(params: GreenParams, t, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample points and coefficients of the split rule for each t.
 
-    Returns (s, coef), each of shape (len(t), 2n), such that for a
-    regularized forcing f_reg continuous on [0, 1] the integral over s of
-    G(t_i,s) s^(-sigma) f_reg(s) is coef[i] @ f_reg(s[i]).
 
-    The kernel has a derivative kink at s = t, so the integral splits
-    there into two panels, the first n columns and the last n: on [0, t]
-    the substitution s = t*x maps the weight to x^(-sigma) and reuses the
-    canonical Jacobi rule (factor t^(1-sigma)); on [t, 1] the integrand
-    is smooth and a Legendre rule integrates it with s^(-sigma) folded
-    in.  A panel of zero length gets zero coefficients.
+# ---------------------------------------------------------------------------
+# product rule on shared samples
+
+# Gauss-Legendre sample points per panel: the forcing is interpolated by
+# polynomials of degree SAMPLES_PER_PANEL - 1 on each panel
+SAMPLES_PER_PANEL = 12
+# The layout: geometric panels toward 0 up to _ZONE_END, _BULK_PANELS
+# equal ones up to 0.9, geometric ones toward 1
+_ZONE_PANELS, _ZONE_END, _BULK_PANELS = 10, 0.1, 6
+# A left panel at least its own width from t sees no kink: G(t, .) is
+# smooth there and is integrated through its interpolant on the panel's
+# samples.  From t >= 2 * _ZONE_END, G(t, s) / s^2 is smooth on the whole
+# zone [0, _ZONE_END] of the panels toward 0, and is read at _ZONE_POINTS
+# Chebyshev points of it instead.
+_ZONE_POINTS = 20
+# Largest rule where the integrand is smooth: right of t in the panel
+# that holds t, and the reference rules of whole panels
+_SMOOTH_POINTS = 24
+# (t, s) pairs of kernel samples per block of rows of a build, and the
+# largest len(t) * n whose plans (``_plans``) are kept: 65 nodes at 128
+# points, under 1 MB
+_BUILD_BLOCK = 1 << 17
+_PLAN_CACHE_POINTS = 65 * 128
+
+
+class _Layout(NamedTuple):
+    """The panels' ends ``lo``/``hi``; the sample points on [0, 1] of
+    every panel, ``xi``, with their barycentric weights ``bary``; the
+    samples themselves; and the zone's Chebyshev points ``zone`` with
+    their barycentric weights ``zone_bary``."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    xi: np.ndarray
+    bary: np.ndarray
+    samples: np.ndarray
+    zone: np.ndarray
+    zone_bary: np.ndarray
+
+
+@functools.cache
+def _layout() -> _Layout:
+    """24 panels: 10 toward 0 whose ends shrink by 0.2 from 0.1 (the first
+    is [0, 5.1e-8]), 6 equal ones over [0.1, 0.9], and 8 toward 1 whose
+    distances to 1 shrink by 0.3 from 0.1 (the last is 2.2e-5 wide)."""
+    ends = np.concatenate([[0.0], _ZONE_END * 0.2 ** np.arange(_ZONE_PANELS - 1.0, -1.0, -1.0),
+                           np.linspace(_ZONE_END, 0.9, _BULK_PANELS + 1)[1:],
+                           1.0 - 0.1 * 0.3 ** np.arange(1.0, 8.0), [1.0]])
+    xi = legendre_rule(SAMPLES_PER_PANEL).nodes
+    bary = 1.0 / np.prod(np.where(np.eye(xi.size, dtype=bool), 1.0, xi[:, None] - xi), axis=1)
+    lo, hi = ends[:-1], ends[1:]
+    samples = (lo[:, None] + (hi - lo)[:, None] * xi).ravel()
+    angle = (2.0 * np.arange(_ZONE_POINTS) + 1.0) * np.pi / (2.0 * _ZONE_POINTS)
+    zone = 0.5 * _ZONE_END * (1.0 - np.cos(angle))
+    zone_bary = (-1.0) ** np.arange(_ZONE_POINTS) * np.sin(angle)
+    out = _Layout(lo, hi, xi, bary, samples, zone, zone_bary)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def shared_samples() -> np.ndarray:
+    """The P points, increasing in (0, 1), at which ``product_weights``
+    reads a forcing; read-only, shared by every caller."""
+    return _layout().samples
+
+
+def _barycentric(x: np.ndarray, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The Lagrange basis of ``nodes`` (barycentric ``weights``) at points
+    x, in the second barycentric form: shape x.shape + (len(nodes),).  A
+    point on a node is that node's unit row."""
+    diff = x[..., None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(weights, diff, out=diff)
+        out *= (1.0 / (out @ np.ones(nodes.size)))[..., None]
+    if not np.isfinite(out).all():
+        hit = x[..., None] == nodes
+        rows = hit.any(axis=-1)
+        out[rows] = hit[rows]
+    return out
+
+
+def _lagrange(x: np.ndarray) -> np.ndarray:
+    """The Lagrange basis of a panel's samples at points x on [0, 1] of
+    the panel."""
+    lay = _layout()
+    return _barycentric(x, lay.xi, lay.bary)
+
+
+@functools.lru_cache(maxsize=8)
+def _legendre_basis(n: int) -> np.ndarray:
+    """The Lagrange basis of a panel's samples at the n-point
+    Gauss-Legendre nodes, (n, k); read-only."""
+    out = _lagrange(legendre_rule(n).nodes)
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _rules() -> tuple[np.ndarray, ...]:
+    """The sigma-free part of the n = ``_SMOOTH_POINTS``-point
+    Gauss-Legendre reference rules: per panel their ``nodes`` and ``base``
+    weights (panels, n); the samples' Lagrange ``basis`` at them (n, k)
+    and its pairwise products ``pairs`` (n, k * k); and on the zone's
+    panels the zone's Lagrange basis times s^2, ``zone`` (_ZONE_PANELS,
+    _ZONE_POINTS, n)."""
+    lay = _layout()
+    n = _SMOOTH_POINTS
+    leg = legendre_rule(n)
+    width = lay.hi - lay.lo
+    nodes = lay.lo[:, None] + width[:, None] * leg.nodes
+    basis = _legendre_basis(n)
+    pairs = (basis[:, :, None] * basis[:, None, :]).reshape(n, -1)
+    zn = nodes[:_ZONE_PANELS]
+    zone = (_barycentric(zn, lay.zone, lay.zone_bary) * (zn * zn)[..., None]).transpose(0, 2, 1)
+    out = nodes, width[:, None] * leg.weights, basis, pairs, zone
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+class _Reference(NamedTuple):
+    """The reference rules of a build, for one sigma: per panel, the
+    ``nodes`` of the n-point Gauss-Legendre rule of ``_rules`` and its
+    ``weights`` with s^(-sigma) folded in, and the samples' Lagrange
+    ``basis`` there (n, k).  ``mass`` (panels, k, k) integrates s^(-sigma) l_a l_b over each
+    panel, and ``zone`` (_ZONE_POINTS, _ZONE_PANELS * k) integrates
+    s^(2-sigma) z_r l_b over the zone, z_r the Lagrange basis of its
+    Chebyshev points.  On the panel at 0 the rule meets s^(-sigma)
+    unresolved, but G(t, s) ~ s^2 there, so that panel carries below
+    1e-20 of any row."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    basis: np.ndarray
+    mass: np.ndarray
+    zone: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _reference(sigma: float) -> _Reference:
+    nodes, base, basis, pairs, zone_basis = _rules()
+    k = basis.shape[1]
+    weights = base * nodes ** (-sigma)
+    mass = (weights @ pairs).reshape(-1, k, k)
+    zone = ((zone_basis * weights[:_ZONE_PANELS, None, :]) @ basis).transpose(1, 0, 2)
+    out = _Reference(nodes, weights, basis, mass, zone.reshape(_ZONE_POINTS, -1))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def product_weights(params: GreenParams, t, n: int) -> np.ndarray:
+    """W of shape (len(t), P): for a regularized forcing f_reg continuous
+    on [0, 1], the integral over s of G(t_i,s) s^(-sigma) f_reg(s) is
+    about W[i] @ f_reg(shared_samples()).
+
+    W[i, p] integrates G(t_i, s) s^(-sigma) l_p(s) over the panel of
+    sample p.  ``n`` sets the Gauss-Legendre rules where the kink s = t_i
+    is near: left of t_i in the panel that holds it, and on every panel
+    less than its own width left of t_i.  Farther left, and on the panel
+    at 0, G(t_i, .) is smooth and is read at the panel's samples (against
+    the panel's mass matrix) or, from t_i >= 0.2, on the zone of panels
+    toward 0 at its Chebyshev points.  Right of t_i, G is t^(alpha-2)
+    (1-s)^(alpha-2) [(s-t) + (alpha-2)(1-t)s] / Gamma(alpha): in the
+    panel that holds t_i that form takes a rule of min(n,
+    ``_SMOOTH_POINTS``) points, and the panels beyond are t-independent
+    moments weighted per row.  The moments and the mass matrices come from
+    Gauss-Legendre rules of ``_SMOOTH_POINTS`` points per panel, so a build
+    solves no eigenproblem but once per rule size.  Rows at t = 0 and t = 1,
+    where G vanishes, are 0.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValueError("split_panels: t must be a 1-d array of values in [0, 1]")
-    sg = params.sigma
-    tc = t[:, None]
-    jr = jacobi_rule(n, sg)
-    lr = legendre_rule(n)
-    # right panel: s >= t + (1-t) * (first node) > 0
-    s = np.concatenate([tc * jr.nodes, tc + (1.0 - tc) * lr.nodes], axis=1)
-    coef = green_eval(params, tc, s) * np.concatenate(
-        [tc ** (1.0 - sg) * jr.weights, (1.0 - tc) * lr.weights], axis=1
-    )
-    coef[:, n:] *= s[:, n:] ** (-sg)
-    return s, coef
+        raise ValueError("product_weights: t must be a 1-d array of values in [0, 1]")
+    n = _check_points(n)
+    a = params.alpha
+    lay = _layout()
+    ref = _reference(params.sigma)
+    panels, k = lay.lo.size, lay.xi.size
+    # right of t: (s - lo) + (lo - t) + (alpha-2)(1-t) s, each >= 0, so the
+    # row's combination of the moments cancels nothing
+    damp = ref.weights * (1.0 - ref.nodes) ** (a - 2.0) / gamma(a)
+    factors = np.stack([damp * (ref.nodes - lay.lo[:, None]), damp, damp * ref.nodes], axis=1)
+    moments = factors @ ref.basis
+    # one product per panel: the right-panel coefficients with the moments
+    # and the far kernel values with the mass matrix
+    stacked = np.concatenate([moments, ref.mass], axis=1)
+    out = np.zeros((t.size, panels, k))
+    small = t.size * n <= _PLAN_CACHE_POINTS
+    for plan in _plans(t.tobytes(), n) if small else _block_plans(t, n):
+        out[plan.rows] = _weight_rows(params, plan, ref, stacked)
+    return out.reshape(t.size, panels * k)
+
+
+class _Plan(NamedTuple):
+    """What a block of rows of ``product_weights`` needs of t alone.
+
+    ``rows`` index t, ``home`` is the panel that holds each t and
+    ``right`` (panels, rows) marks the panels right of it.  The far
+    (``rf``, ``jf``) and near (``rn``, ``jn``) left (row, panel) pairs, and
+    the rows that read the zone (``zoned``), share one kernel call at
+    (``kern_t``, ``kern_s``), cut at ``cuts``.  ``near_s`` and ``near_h``
+    are the near panels' Legendre nodes and weights without s^(-sigma);
+    ``split_s`` and ``split_h`` the same for the panel that holds t, left of
+    t and right of it, with ``split_base``, ``split_s`` with inf for 0 (a
+    node below the smallest double carries no weight), and ``lag`` the
+    samples' Lagrange basis there."""
+
+    rows: np.ndarray
+    t: np.ndarray
+    home: np.ndarray
+    right: np.ndarray
+    rf: np.ndarray
+    jf: np.ndarray
+    rn: np.ndarray
+    jn: np.ndarray
+    zoned: np.ndarray
+    kern_t: np.ndarray
+    kern_s: np.ndarray
+    cuts: np.ndarray
+    near_s: np.ndarray
+    near_h: np.ndarray
+    split_s: np.ndarray
+    split_h: np.ndarray
+    split_base: np.ndarray
+    lag: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)  # sweep_cold alternates two grids
+def _plans(t_bytes: bytes, n: int) -> tuple[_Plan, ...]:
+    """``_block_plans`` at the t whose bytes are ``t_bytes``, kept: they
+    depend on t and n only, so a sweep over (alpha, sigma) on one grid
+    reuses them.  Only sizes up to ``_PLAN_CACHE_POINTS`` come here."""
+    return tuple(_block_plans(np.frombuffer(t_bytes), n))
+
+
+def _block_plans(t_all: np.ndarray, n: int):
+    """The plans of the blocks of rows of ``product_weights``, one at a
+    time: rows in (0, 1), at most ``_BUILD_BLOCK`` kernel pairs' worth
+    per block."""
+    lay = _layout()
+    panels, k = lay.lo.size, lay.xi.size
+    leg, smooth = legendre_rule(n), legendre_rule(min(n, _SMOOTH_POINTS))
+    width = lay.hi - lay.lo
+    samples = lay.samples.reshape(panels, k)
+    inner = np.flatnonzero((t_all > 0.0) & (t_all < 1.0))
+    per_block = max(1, _BUILD_BLOCK // ((panels + 2) * n))
+    for start in range(0, inner.size, per_block):
+        rows = inner[start:start + per_block]
+        t = t_all[rows]
+        tc = t[:, None]
+        home = np.searchsorted(lay.lo, t, side="right") - 1  # lo <= t < hi
+        pj = np.arange(panels)
+        zoned = np.flatnonzero(t >= 2.0 * _ZONE_END)
+        left = pj < home[:, None]
+        left[zoned, :_ZONE_PANELS] = False
+        far = left & ((tc - lay.hi >= width) | (pj == 0))
+        rf, jf = np.nonzero(far)
+        rn, jn = np.nonzero(left & ~far)
+        near_s = lay.lo[jn, None] + width[jn, None] * leg.nodes
+        lo, hi = lay.lo[home][:, None], lay.hi[home][:, None]
+        s_left = lo + (tc - lo) * leg.nodes
+        s_right = tc + (hi - tc) * smooth.nodes
+        split_s = np.concatenate([s_left, s_right], axis=1)
+        kern_t = np.concatenate([np.repeat(t[rf], k), np.repeat(t[rn], n),
+                                 np.repeat(t[zoned], _ZONE_POINTS), np.repeat(t, n)])
+        kern_s = np.concatenate([samples[jf].ravel(), near_s.ravel(),
+                                 np.tile(lay.zone, zoned.size), s_left.ravel()])
+        plan = _Plan(
+            rows, t, home, (pj > home[:, None]).T, rf, jf, rn, jn, zoned, kern_t, kern_s,
+            np.cumsum([rf.size * k, rn.size * n, zoned.size * _ZONE_POINTS]),
+            near_s, width[jn, None] * leg.weights,
+            split_s, np.concatenate([(tc - lo) * leg.weights, (hi - tc) * smooth.weights], axis=1),
+            np.where(split_s > 0.0, split_s, np.inf), _lagrange((split_s - lo) / (hi - lo)))
+        for arr in plan:
+            arr.setflags(write=False)
+        yield plan
+
+
+def _weight_rows(params: GreenParams, plan: _Plan, ref: _Reference,
+                 stacked: np.ndarray) -> np.ndarray:
+    """``product_weights`` blocks (rows, panels, k) of one plan."""
+    a, sg = params.alpha, params.sigma
+    lay = _layout()
+    panels, k = lay.lo.size, lay.xi.size
+    n = plan.near_s.shape[1]
+    t = plan.t
+    k_far, k_near, k_zone, k_left = np.split(green_eval(params, plan.kern_t, plan.kern_s),
+                                             plan.cuts)
+    coef = np.zeros((panels, t.size, 3 + k))
+    tpow = t ** (a - 2.0)
+    coef[..., 0] = plan.right * tpow
+    coef[..., 1] = plan.right * (tpow * (lay.lo[:, None] - t))
+    coef[..., 2] = plan.right * (tpow * (a - 2.0) * (1.0 - t))
+    coef[plan.jf, plan.rf, 3:] = k_far.reshape(plan.rf.size, k)
+    block = np.matmul(coef, stacked).transpose(1, 0, 2)
+    near = k_near.reshape(plan.rn.size, n) * plan.near_h * plan.near_s ** (-sg)
+    block[plan.rn, plan.jn] = near @ _legendre_basis(n)
+    zone = (k_zone.reshape(plan.zoned.size, _ZONE_POINTS) / lay.zone**2) @ ref.zone
+    block[plan.zoned, :_ZONE_PANELS] = zone.reshape(plan.zoned.size, _ZONE_PANELS, k)
+    tc, s_right = t[:, None], plan.split_s[:, n:]
+    k_right = ((tc * (1.0 - s_right)) ** (a - 2.0) / gamma(a)
+               * ((s_right - tc) + (a - 2.0) * (1.0 - tc) * s_right))
+    split = np.concatenate([k_left.reshape(t.size, n), k_right], axis=1)
+    split *= plan.split_h * plan.split_base ** (-sg)
+    block[np.arange(t.size), plan.home] = np.matmul(split[:, None, :], plan.lag)[:, 0]
+    return block
 
 
 def integrate_green(params: GreenParams, t, f_reg, n: int):
     """Integral over s of G(t,s) s^(-sigma) f_reg(s), f_reg continuous.
 
     f_reg is the regularized forcing s^sigma F(s); it must accept numpy
-    arrays.  The sum is the one ``split_panels`` defines, the same the
-    solver's collocation operator applies.  A scalar t gives a float, a
-    1-d array of t an array.
+    arrays.  The sum is ``product_weights(params, t, n) @
+    f_reg(shared_samples())``, the one the solver's collocation operator
+    applies.  A scalar t gives a float, a 1-d array of t an array.
     """
-    out = panel_sums(split_panels(params, np.atleast_1d(t), n), f_reg)
+    s = shared_samples()
+    out = product_weights(params, np.atleast_1d(t), n) @ np.broadcast_to(f_reg(s), s.shape)
     return float(out[0]) if np.ndim(t) == 0 else out
-
-
-def panel_sums(rule, f_reg) -> np.ndarray:
-    """Per-t integrals of f_reg from ``split_panels`` output (or a row
-    slice of it)."""
-    s, coef = rule
-    return (coef * f_reg(s)).sum(axis=1)

@@ -5,8 +5,8 @@ acts on the cone of non-negative continuous functions; under the sampled
 contraction condition certified by ``certify_contraction`` the Picard
 iteration converges to the unique non-negative solution.  Discretization
 is Nystrom-style collocation on Chebyshev-distributed nodes with
-barycentric interpolation between sweeps; per-node integrals use the
-split rule of the quadrature module.
+barycentric interpolation between sweeps; the integrals are the product
+rule of the quadrature module, on samples shared by every node.
 
 A converged solution can be cross-checked two independent ways:
 ``check_positivity`` tests the hypotheses under which the solution is
@@ -27,7 +27,7 @@ import numpy as np
 from . import exprparse
 from .exprparse import Expression
 from .kernel import GreenParams, _real, green_weight_integral_max
-from .quadrature import MAX_POINTS, split_panels
+from .quadrature import MAX_POINTS, product_weights, shared_samples
 from .specfun import gamma
 
 __all__ = [
@@ -313,26 +313,35 @@ class SolutionGrid:
 # discretized integral operator
 
 
+@functools.lru_cache(maxsize=16)
+def _sample_map(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_bary_reciprocals`` of the m-point grid at ``shared_samples()``,
+    node-major (m, P), with its column sums: the map from values on m
+    nodes to the shared samples, one per input size for every operator.
+    Read-only, as every later call shares it."""
+    recip = _bary_reciprocals(m, shared_samples())
+    for arr in recip:
+        arr.flags.writeable = False
+    return recip
+
+
 class DiscreteGreenOperator:
     """T at its own ``nodes``, precomputed for fixed (params, grid,
-    quadrature).
+    quadrature): the product-rule weights ``W`` (grid_points, P) on the
+    shared samples ``s`` (``quadrature.product_weights``).
 
-    Per collocation node the split quadrature samples are fixed
-    (``split_panels``), so kernel values and rule weights are matrices
-    built once.  ``apply`` reads u from its values on any
-    Chebyshev-Lobatto grid, through one barycentric map per input size,
-    built on first use: a g that does not read u never needs one.  A map
-    is ``_bary_reciprocals`` at the samples, node-major (m_in,
-    grid_points * 2 quad_points), with its column sums.  A coarser input
-    grid makes ``apply`` a Nystrom step (Atkinson 1997, section 4.1).
-    ``apply`` is a handful of vectorized operations; per-node sums use a
-    fixed order, so results do not depend on scheduling.
+    ``apply`` reads u from its values on any Chebyshev-Lobatto grid at the
+    P samples, through ``_sample_map`` of that grid's size, built on first
+    use: a g that does not read u never needs one.  A coarser input grid
+    makes ``apply`` a Nystrom step (Atkinson 1997, section 4.1).  A sweep
+    is one (m_in, P) product, one call of g on P points and one (m, P)
+    product, whatever the grid and quadrature sizes.
     """
 
     def __init__(self, params: GreenParams, grid_points: int, quad_points: int):
         self.nodes = chebyshev_lobatto_nodes(grid_points)
-        self.s, self.coef = split_panels(params, self.nodes, quad_points)
-        self._maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.W = product_weights(params, self.nodes, quad_points)
+        self.s = shared_samples()
 
     def apply(self, values: np.ndarray, p: ProblemSpec) -> np.ndarray:
         """T u at the nodes, for u given by its values on the
@@ -340,13 +349,10 @@ class DiscreteGreenOperator:
         ``enforce_cone`` come from p.  A g that does not read u gets
         u = 0."""
         if p.g_reads_u():
-            m = len(values)
-            if m not in self._maps:
-                self._maps[m] = _bary_reciprocals(m, self.s.ravel())
-            recip, colsum = self._maps[m]
-            u = ((values @ recip) / colsum).reshape(self.s.shape)
+            recip, colsum = _sample_map(len(values))
+            u = (values @ recip) / colsum
         else:
-            u = np.zeros(self.s.shape)
+            u = np.zeros(self.s.size)
         if p.enforce_cone:
             # cone elements stay non-negative; interpolation overshoot is
             # projected back so g never sees a spurious negative u
@@ -357,7 +363,7 @@ class DiscreteGreenOperator:
                 f"g evaluated negative ({gs.min():.6g}) at a quadrature sample; "
                 "the nonlinearity must map into [0, inf)"
             )
-        out = (self.coef * gs).sum(axis=1)
+        out = self.W @ gs
         out[[0, -1]] = 0.0  # the kernel vanishes identically at t = 0 and t = 1
         return out
 
@@ -383,8 +389,11 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
     """One application of the integral operator to the grid function u.
 
     Output is clamped to exactly 0 at both endpoints (the kernel vanishes
-    identically there) and is non-negative whenever g is.  With
-    ``enforce_cone`` set, a negative g sample raises ConeViolationError.
+    identically there) and, with ``quad_points`` >= 8, is non-negative
+    whenever g is: the product-rule weights are then >= 0 (Tier-1 checks
+    them on the verify pairs at 33, 65 and 257 nodes).  With
+    ``enforce_cone`` set, a negative g at a shared sample raises
+    ConeViolationError.
     """
     if len(u.values) != p.grid_points:
         raise ValueError("grid of u does not match ProblemSpec.grid_points")
@@ -653,7 +662,10 @@ def check_positivity(p: ProblemSpec, u: SolutionGrid, seed: int = 0) -> Positivi
 class ResidualProfile:
     """Residual per checkpoint (the multiples of h nearest
     ``_CHECKPOINTS``), and ``floor``, the roundoff the checkpoint's GL
-    sum can carry: eps * sum_{j<terms} |c_j| * h^(-alpha) * max|u|.  A
+    sum can carry: eps * sum_{j<terms} |c_j| * h^(-alpha) * max|u| *
+    (1 + Lambda), where Lambda = 1 + (2/pi) ln(m - 1) bounds the Lebesgue
+    constant of u's m nodes and so counts the rounding of the
+    interpolated values the sum reads, which it amplifies alike.  A
     residual near its floor says nothing about the solution."""
 
     checkpoints: np.ndarray
@@ -756,6 +768,7 @@ def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> Res
     gl = scale * np.diff(running[np.cumsum(terms) - 1], prepend=0.0)
     t = h * plan.at
     rhs = t ** (-sg) * np.asarray(g(t, lattice[plan.at]), dtype=float)
+    lebesgue = 1.0 + 2.0 / np.pi * np.log(len(u.values) - 1.0)
     floor = (np.finfo(float).eps * np.cumsum(np.abs(c))[terms - 1]
-             * scale * np.max(np.abs(u.values)))
+             * scale * np.max(np.abs(u.values)) * (1.0 + lebesgue))
     return ResidualProfile(t, np.abs(gl - rhs), floor)

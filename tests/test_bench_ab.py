@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -76,3 +77,28 @@ def test_both_sides_are_prepared_as_fresh_copies(tmp_path):
                             "gone.py": "committed\n", ".gitignore": "*.log\n"}
     assert _files(new) == {"src/kept.py": "committed\n", "src/edited.py": "uncommitted\n",
                            "src/new.py": "untracked\n", ".gitignore": "*.log\n"}
+
+
+def test_json_report_schema(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pairs = [({"op_ms_p50": a, "setup_s": 0.1}, {"op_ms_p50": b, "setup_s": 0.2})
+             for a, b in [(6.0, 3.5), (6.4, 3.6), (6.5, 6.6)]]
+    stamp = {"git_commit": "unknown", "source_sha256": "ab", "blas_threads": 1, "nproc": 2}
+    doc = bench_ab.report("base-sha", "new-sha working tree", [41, 42, 43], 30,
+                          {"sweep_cold": pairs}, {"base": stamp, "new": stamp}, METRICS)
+    assert set(doc) == {"revisions", "stamps", "seeds", "seconds", "openblas_num_threads",
+                        "workloads"}
+    assert doc["revisions"] == {"base": "base-sha", "new": "new-sha working tree"}
+    assert doc["stamps"]["base"] == stamp and doc["seeds"] == [41, 42, 43]
+    assert (doc["seconds"], doc["openblas_num_threads"]) == (30, "1")
+    sweep = doc["workloads"]["sweep_cold"]
+    assert [p["seed"] for p in sweep["pairs"]] == [41, 42, 43]
+    assert sweep["pairs"][0] == {"seed": 41, "base": pairs[0][0], "new": pairs[0][1]}
+    rows = {r["name"]: r for r in sweep["metrics"]}
+    assert set(rows) == {"op_ms_p50", "setup_s"}
+    assert set(rows["op_ms_p50"]) == {"name", "base_median", "base_iqr", "new_median", "new_iqr",
+                                      "wins", "pairs", "beyond_iqr", "verdict"}
+    assert (rows["op_ms_p50"]["verdict"], rows["setup_s"]["verdict"]) == ("better", "worse")
+    assert json.loads(json.dumps(doc)) == doc
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert bench_ab.report("a", "b", [], 1, {}, {}, METRICS)["openblas_num_threads"] is None

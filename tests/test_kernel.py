@@ -122,8 +122,8 @@ def test_green_one_ulp_below_diagonal_is_quiet_and_at_the_limit():
 
 @pytest.mark.parametrize("alpha", (3.01, 3.3, 3.5, 4.0))
 def test_green_broadcast_matches_scalar_calls(alpha):
-    # the (m, 1) x (m, 2n) shapes split_panels passes, with rows that
-    # cross the diagonal, the boundary and points an ulp off the diagonal
+    # broadcast (m, 1) x (m, n) shapes, with rows that cross the
+    # diagonal, the boundary and points an ulp off the diagonal
     p = GreenParams(alpha, 0.5)
     rng = np.random.default_rng(int(alpha * 100))
     t = rng.uniform(0.0, 1.0, size=(9, 1))

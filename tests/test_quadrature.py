@@ -11,7 +11,10 @@ from fraksolve.quadrature import (
     integrate_green,
     jacobi_rule,
     legendre_rule,
+    product_weights,
+    shared_samples,
 )
+from fraksolve.solver import chebyshev_lobatto_nodes
 from fraksolve.specfun import gamma
 
 
@@ -166,3 +169,37 @@ def test_integrate_green_rejects_t_outside_unit_interval(bad):
         integrate_green(p, np.array([0.0, 0.5, bad]), one, 16)
     with pytest.raises(ValueError):
         integrate_green(p, bad, one, 16)
+
+
+VERIFY_PAIRS = [(a, sg) for a in (3.01, 3.5, 4.0) for sg in (0.1, 0.5, 0.9)]
+
+
+@pytest.mark.parametrize("grid", [33, 65, 257])
+@pytest.mark.parametrize("n", [8, 48, 128])
+def test_product_weights_are_non_negative_from_eight_points(grid, n):
+    # the cone contract: T maps g >= 0 to a non-negative output only if
+    # W >= 0, which the Lagrange basis does not give by construction
+    t = chebyshev_lobatto_nodes(grid)
+    for alpha, sigma in VERIFY_PAIRS:
+        assert product_weights(GreenParams(alpha, sigma), t, n).min() >= 0.0
+
+
+def test_product_weights_below_eight_points_can_be_negative():
+    # the bound the README states: 6 points do not integrate the degree-11
+    # basis, and W takes negative entries
+    t = chebyshev_lobatto_nodes(33)
+    assert min(product_weights(GreenParams(a, sg), t, 6).min() for a, sg in VERIFY_PAIRS) < 0.0
+
+
+def test_product_weights_rows_are_L_and_vanish_at_the_ends():
+    t = np.concatenate([[0.0], np.geomspace(1e-9, 0.5, 40), 1.0 - np.geomspace(1e-9, 0.5, 40),
+                        [1.0]])
+    s = shared_samples()
+    assert s.shape == (288,) and np.all(np.diff(s) > 0.0) and 0.0 < s[0] and s[-1] < 1.0
+    for alpha, sigma in VERIFY_PAIRS:
+        p = GreenParams(alpha, sigma)
+        w = product_weights(p, t, 48)
+        assert w.shape == (t.size, s.size)
+        assert not w[[0, -1]].any()
+        closed = green_weight_integral(p, t)
+        assert np.max(np.abs(w.sum(axis=1) - closed)) <= 1e-13 * np.max(closed)

@@ -1,10 +1,12 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from fraksolve.kernel import (
     green_weight_integral_max,
 )
 from fraksolve import solver as solver_module
-from fraksolve.quadrature import panel_sums, split_panels
+from fraksolve.quadrature import integrate_green, shared_samples
 from fraksolve.solver import (
     G_CATALOG_IDS,
     CertificateError,
@@ -138,10 +140,11 @@ def test_interpolate_in_blocks_matches_one_matrix(monkeypatch):
 
 @pytest.mark.parametrize("grid, quad", [(33, 48), (65, 64)])
 def test_bary_matrix_rows_sum_to_one_on_operator_samples(grid, quad):
+    # every operator reads u at the same shared samples, whatever its size
     nodes = chebyshev_lobatto_nodes(grid)
-    s, _ = split_panels(GreenParams(3.05, 0.95), nodes, quad)
-    assert s.shape == (grid, 2 * quad)
-    mat = _bary_map(nodes, s.ravel())
+    s = DiscreteGreenOperator(GreenParams(3.05, 0.95), grid, quad).s
+    assert s is shared_samples() and s.shape == (288,)
+    mat = _bary_map(nodes, s)
     np.testing.assert_allclose(mat.sum(axis=0), 1.0, rtol=0.0, atol=1e-13)
 
 
@@ -167,8 +170,8 @@ def test_operator_map_matches_pointwise_barycentric_sum(m_in, grid, quad):
     # every map shape a solve builds, on a spread of its samples, at the
     # input nodes and one ulp to either side of them
     nodes = chebyshev_lobatto_nodes(m_in)
-    s, _ = split_panels(P35, chebyshev_lobatto_nodes(grid), quad)
-    x = np.concatenate([s.ravel()[::97], nodes, np.nextafter(nodes, -1.0)[1:],
+    s = DiscreteGreenOperator(P35, grid, quad).s
+    x = np.concatenate([s[::7], nodes, np.nextafter(nodes, -1.0)[1:],
                         np.nextafter(nodes, 2.0)[:-1]])
     values = 1.5 + np.sin(3.0 * nodes) + nodes**2
     recip, colsum = solver_module._bary_reciprocals(len(nodes), x)
@@ -270,13 +273,13 @@ def test_cone_violation_raised_for_signed_forcing():
 
 
 @pytest.mark.parametrize("grid, quad", [(33, 48), (65, 64)])
-def test_apply_is_the_split_rule_for_u_independent_forcing(grid, quad):
-    # one rule, one reduction: the sweep and panel_sums agree bit for bit
+def test_apply_is_the_product_rule_for_u_independent_forcing(grid, quad):
+    # one rule, one reduction: the sweep and integrate_green agree bit for bit
     op = DiscreteGreenOperator(P35, grid, quad)
     fcos = lambda s: np.cos(3.0 * np.asarray(s))
     p = spec_for(lambda s, u: fcos(s), enforce_cone=False)  # a callable reads u
     out = op.apply(np.linspace(0.0, 1.0, grid), p)
-    assert np.array_equal(out, panel_sums(split_panels(P35, op.nodes, quad), fcos))
+    assert np.array_equal(out, integrate_green(P35, op.nodes, fcos, quad))
 
 
 def test_apply_keeps_output_nodes_near_the_ends():
@@ -340,6 +343,50 @@ def test_certificate_overflowing_ratio_is_capped(g, lam, tau, observed):
     assert cert.lambda_observed == observed
     assert cert.passed == (observed == 0.0)
     json.loads(json.dumps(cert.to_dict()), parse_constant=_reject_constant)
+
+
+VERIFY_PAIRS = [(a, sg) for a in (3.01, 3.5, 4.0) for sg in (0.1, 0.5, 0.9)]
+
+
+def _mp_weight_integral_max(alpha, sigma):
+    """N at 50 digits, from G itself: integrated termwise against
+    s^(-sigma), the s >= t form of G gives beta functions and the
+    (t-s)^(alpha-1) term of s < t gives t^(alpha-sigma) B(1-sigma, alpha);
+    the maximum is at the one root of L' in (0, 1), bracketed."""
+    with mpmath.workdps(50):
+        a, sg = mpmath.mpf(alpha), mpmath.mpf(sigma)
+        b1, b2, b3 = mpmath.beta(1 - sg, a - 1), mpmath.beta(2 - sg, a - 1), mpmath.beta(1 - sg, a)
+        lin = lambda t: (a - 1 - (a - 2) * t) * b2 - t * b1
+        L = lambda t: (t ** (a - 2) * lin(t) + t ** (a - sg) * b3) / mpmath.gamma(a)
+        dL = lambda t: ((a - 2) * t ** (a - 3) * lin(t) - t ** (a - 2) * ((a - 2) * b2 + b1)
+                        + (a - sg) * t ** (a - sg - 1) * b3)
+        return float(L(mpmath.findroot(dL, (mpmath.mpf("0.01"), mpmath.mpf("0.999")),
+                                       solver="anderson")))
+
+
+@pytest.mark.parametrize("alpha, sigma", VERIFY_PAIRS)
+def test_certificate_N_is_the_weight_integral_maximum(alpha, sigma):
+    # the certificate's own N, not green_weight_integral_max's: a certificate
+    # that used a wrong N at its use site passed every other check
+    cert = certify_contraction(ProblemSpec(GreenParams(alpha, sigma), "1 + 0.1*u",
+                                           lambda_claim=1.0, tau=1.0))
+    want = _mp_weight_integral_max(alpha, sigma)
+    assert abs(cert.N - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("alpha, sigma", VERIFY_PAIRS)
+def test_certificate_gate_sits_at_lambda_N_one(alpha, sigma):
+    # lambda_observed is at most 0.001, far below either claim: only
+    # lambda_claim * N <= 1 decides, and it decides at 1e-9 of the true N
+    n_value = _mp_weight_integral_max(alpha, sigma)
+    verdicts = []
+    for lam in ((1.0 - 1e-9) / n_value, (1.0 + 1e-9) / n_value):
+        cert = certify_contraction(ProblemSpec(GreenParams(alpha, sigma),
+                                               "1 + 0.001*u/(1+sqrt(u))^2", lambda_claim=lam,
+                                               tau=1.0))
+        assert cert.lambda_observed <= 0.001 + 1e-12 < lam
+        verdicts.append(cert.passed)
+    assert verdicts == [True, False]
 
 
 def test_certificate_gate_blocks_solve():
@@ -592,12 +639,12 @@ def test_operator_cache_holds_one_ladder_per_entry():
     # the rule of the level below, and the 129-point operator that fills
     # the requested nodes from the 65 served ones
     assert set(ladder) == {(33, 48), (65, 48), (65, 96), (129, 96)}
-    assert {key: set(op._maps) for key, op in ladder.items()} == {
-        (33, 48): {33}, (65, 48): {33}, (65, 96): {65}, (129, 96): {65}}
-    output = ladder[(129, 96)]  # maps built by the solve, g reads u
-    recip, colsum = output._maps[65]
-    assert recip.shape == (65, 129 * 192) and colsum.shape == (129 * 192,)
-    assert output.s.shape == (129, 192)
+    # each holds its weights on the shared samples; u reaches them through
+    # one map per input size, which every operator shares
+    output = ladder[(129, 96)]
+    assert output.W.shape == (129, 288) and output.s is shared_samples()
+    recip, colsum = solver_module._sample_map(65)
+    assert recip.shape == (65, 288) and colsum.shape == (288,)
     solve(spec_for("1", grid_points=17))
     solve(spec_for("1"))
     # two entries at most: the least recently used, the ladder, went first;
@@ -616,21 +663,20 @@ def _no_map(*args):
 @pytest.mark.parametrize("g", ["manufactured", "unit", "1 + t^2"])
 def test_u_free_g_builds_no_map(monkeypatch, g, grid, quad):
     monkeypatch.setattr(solver_module, "_bary_reciprocals", _no_map)
-    solver_module._operators.cache_clear()  # no operator whose map is built already
+    solver_module._sample_map.cache_clear()  # no map built already
     p = ProblemSpec(P35, g, lambda_claim=1.0, tau=1.0, grid_points=grid, quad_points=quad,
                     enforce_cone=g != "manufactured")
     assert not p.g_reads_u()
     result = solve(p)
     applied = apply_green_operator(result.u, p)
     assert np.max(np.abs(applied.values - result.u.values)) <= 1e-8
-    ops = solver_module._operators(P35, grid, quad).values()
-    assert ops and not any(op._maps for op in ops)
+    assert solver_module._sample_map.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("grid, quad", [(33, 48), (257, 128)])
 @pytest.mark.parametrize("free, reading", [("1", "1 + 0*u"), ("1 + t^2", "1 + t^2 + 0*u")])
 def test_u_free_g_solves_bit_for_bit_as_through_the_map(free, reading, grid, quad):
-    solver_module._operators.cache_clear()
+    solver_module._sample_map.cache_clear()
     a, b = (solve(spec_for(g, lam=1.0, grid_points=grid, quad_points=quad))
             for g in (free, reading))
     assert not spec_for(free).g_reads_u() and spec_for(reading).g_reads_u()
@@ -642,46 +688,46 @@ def test_u_free_g_solves_bit_for_bit_as_through_the_map(free, reading, grid, qua
     else:  # only the reading g climbs the ladder
         assert (a.iterations, a.start_iterations, a.solve_grid) == (2, 0, grid)
         assert b.start_iterations > 0 and a.trace[-1] == 0.0
-    # the reading g went through the map of every operator it used
-    assert all(op._maps for op in solver_module._operators(P35, grid, quad).values())
+    # the reading g went through the map of every input size it used: its
+    # own, or on the ladder those of the 33 and 65 points
+    assert solver_module._sample_map.cache_info().currsize == (1 if grid < 129 else 2)
 
 
 def test_u_reading_solve_builds_each_map_once(monkeypatch):
     built = []
     real = solver_module._bary_reciprocals
     monkeypatch.setattr(solver_module, "_bary_reciprocals",
-                        lambda *a: built.append(1) or real(*a))
+                        lambda *a: built.append(a[0]) or real(*a))
     solver_module._operators.cache_clear()
+    solver_module._sample_map.cache_clear()
     p = nested_spec("1 + 40*u/(1+sqrt(u))^2")
     first = solve(p)
-    ladder = solver_module._operators(P35, 129, 96)
-    assert len(built) == len(ladder) == 4
-    assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 4
-    # a climb past 65 points: the 129-point operator enters its level from
-    # the 65-point values, sweeps on its own 129, and fills the requested
-    # nodes' operator from them
-    built.clear()
-    params = GreenParams(3.01, 0.9)
-    p, _ = exact_spec(params, grid_points=257, quad_points=128)
+    # four operators, two input sizes: the 33-point values feed the first
+    # level and the step to 65 points, the 65-point ones the rest
+    assert len(solver_module._operators(P35, 129, 96)) == 4 and sorted(built) == [33, 65]
+    assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 2
+    # a climb to the requested grid: each level past 65 points enters from
+    # the values below and sweeps on its own, and reuses the maps there are
+    params = GreenParams(3.05, 0.9)
+    c = 0.95 / green_weight_integral_max(params)[0]
+    p = ProblemSpec(params, f"1 + {c!r}*u/(1+sqrt(u))^2", lambda_claim=c, tau=1.0,
+                    grid_points=257, quad_points=128)
     first = solve(p)
-    ladder = solver_module._operators(params, 257, 128)
-    assert first.solve_grid == 129
-    assert {key: set(op._maps) for key, op in ladder.items()} == {
-        (33, 48): {33}, (65, 48): {33}, (65, 128): {65}, (129, 128): {65, 129},
-        (257, 128): {129}}
-    assert len(built) == 6
-    assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 6
+    assert first.solve_grid == 257
+    assert sorted(built) == [33, 65, 129, 257]
+    assert solve(p).u.values.tobytes() == first.u.values.tobytes() and len(built) == 4
 
 
 def test_u_free_solve_builds_one_operator_and_no_map():
     # T is constant, so no ladder: the requested grid's operator alone
     solver_module._operators.cache_clear()
+    solver_module._sample_map.cache_clear()
     p = ProblemSpec(P35, "manufactured", lambda_claim=1.0, tau=1.0, grid_points=257,
                     quad_points=128, enforce_cone=False)
     assert solve(p).solve_grid == 257
     ladder = solver_module._operators(P35, 257, 128)
     assert set(ladder) == {(257, 128)}
-    assert not ladder[(257, 128)]._maps
+    assert solver_module._sample_map.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("g, reads", [
@@ -1047,7 +1093,9 @@ RESIDUAL_STEPS = [1e-3, 5e-4, 3e-3, 7e-4]
 def _residual_loop(p, u, h):
     """Per-checkpoint reference for the residual oracle: coefficients by
     the recurrence, an exactly rounded GL sum, scalar g.  Also returns
-    each sum's roundoff floor eps * sum|c_j| * h^(-alpha) * max|u|."""
+    each sum's roundoff floor eps * sum|c_j| * h^(-alpha) * max|u| *
+    (2 + (2/pi) ln(m - 1)), the last factor counting the rounding of the
+    interpolated values through the Lebesgue constant of m nodes."""
     a, sg = p.params.alpha, p.params.sigma
     shift = int(round(a / 2.0))
     g = p.g_callable()
@@ -1063,7 +1111,9 @@ def _residual_loop(p, u, h):
         gl = h ** (-a) * math.fsum(c * uvals)
         rhs = t ** (-sg) * float(np.asarray(g(t, u.interpolate(t))))
         res.append(abs(gl - rhs))
-        floor.append(np.finfo(float).eps * np.abs(c).sum() * h ** (-a) * np.max(np.abs(u.values)))
+        lebesgue = 1.0 + 2.0 / math.pi * math.log(len(u.values) - 1)
+        floor.append(np.finfo(float).eps * np.abs(c).sum() * h ** (-a) * np.max(np.abs(u.values))
+                     * (1.0 + lebesgue))
     return np.array(res), np.array(floor)
 
 
@@ -1184,8 +1234,8 @@ def test_exact_nonlinear_problem_on_33_points(alpha, sigma):
     params = GreenParams(alpha, sigma)
     p, n_value = exact_spec(params, tol=1e-14)
     u = solve(p).u
-    # measured max 1.2e-8 N, at (3.01, 0.9)
-    assert np.max(np.abs(u.values - green_weight_integral(params, u.nodes))) <= 1e-7 * n_value
+    # measured max 3.7e-10 N, at (3.01, 0.9)
+    assert np.max(np.abs(u.values - green_weight_integral(params, u.nodes))) <= 1e-9 * n_value
     # between nodes the t^(alpha-2) profile at 0 slows barycentric
     # interpolation in t: a measured bound (max 6.6e-5 N) until the
     # graded collocation grid closes the gap
@@ -1193,15 +1243,63 @@ def test_exact_nonlinear_problem_on_33_points(alpha, sigma):
     assert np.max(off) <= 1e-4 * n_value
 
 
-@pytest.mark.parametrize("alpha, sigma, served", [(3.01, 0.9, 129), (3.5, 0.5, 65)])
+@pytest.mark.parametrize("alpha", [3.01, 3.5, 4.0])
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 0.9])
+def test_exact_nonlinear_problem_on_65_points(alpha, sigma):
+    # measured max 6.8e-12 N at the nodes, at (3.01, 0.9); between them
+    # the t-grid's interpolant, 9.4e-6 N at most
+    params = GreenParams(alpha, sigma)
+    p, n_value = exact_spec(params, grid_points=65, quad_points=64, tol=1e-14)
+    u = solve(p).u
+    assert np.max(np.abs(u.values - green_weight_integral(params, u.nodes))) <= 1e-10 * n_value
+    off = np.abs(u.interpolate(OFF_NODE) - green_weight_integral(params, OFF_NODE))
+    assert np.max(off) <= 2e-5 * n_value
+
+
+@pytest.mark.parametrize("alpha, sigma, served", [(3.01, 0.9, 65), (3.5, 0.5, 65)])
 def test_exact_nonlinear_problem_on_the_ladder(alpha, sigma, served):
-    # measured 1.2e-9 N and 1.2e-10 N
+    # measured 8.6e-12 N and 3.0e-11 N
     params = GreenParams(alpha, sigma)
     p, n_value = exact_spec(params, grid_points=257, quad_points=128)
     result = solve(p)
     assert result.solve_grid == served
     err = np.max(np.abs(result.u.values - green_weight_integral(params, result.u.nodes)))
-    assert err <= 1e-8 * n_value
+    assert err <= 1e-10 * n_value
+
+
+@pytest.mark.parametrize("grid", [33, 65, 257])
+def test_product_rule_accuracy_on_the_verify_pairs(grid):
+    # the CLI's default rule: g = 1 against L (measured 5.4e-14 N at most)
+    # and the manufactured forcing against its solution (4.7e-13)
+    for alpha, sigma in VERIFY_PAIRS:
+        params = GreenParams(alpha, sigma)
+        unit = solve(ProblemSpec(params, "1", lambda_claim=1.0, tau=1.0, grid_points=grid)).u
+        closed = green_weight_integral(params, unit.nodes)
+        assert np.max(np.abs(unit.values - closed)) <= 1e-12 * np.max(closed)
+        man = solve(ProblemSpec(params, "manufactured", lambda_claim=1.0, tau=1.0,
+                                grid_points=grid, enforce_cone=False)).u
+        exact = man.nodes ** (alpha - 1.0) * (1.0 - man.nodes) ** 2
+        assert np.max(np.abs(man.values - exact)) <= 1e-11 * np.max(exact)
+
+
+@pytest.mark.parametrize("u0", [False, True], ids=["ladder", "u0"])
+def test_largest_grid_solve_memory(u0):
+    # a u-reading solve at (MAX_GRID, MAX_POINTS) holds W (1024 x 288) and
+    # one (1024, 288) map; the 65 -> 1024 fill once read a 272 MB map, and
+    # a u0 start its own-size one, 4.3 GB (measured peak 9.8 and 8.0 MB)
+    solver_module._operators.cache_clear()
+    solver_module._sample_map.cache_clear()
+    p = ProblemSpec(P35, "1 + 0.1*ln(1+u)", lambda_claim=0.5, tau=1.0,
+                    grid_points=solver_module.MAX_GRID, quad_points=256)
+    tracemalloc.start()
+    try:
+        result = solve(p, u0=SolutionGrid.zeros(p.grid_points) if u0 else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    solver_module._operators.cache_clear()
+    assert result.solve_grid == (p.grid_points if u0 else 65)
+    assert peak <= 16e6
 
 
 # --- integrate_green agreement (vectorized path vs scalar path) -------------
