@@ -33,7 +33,14 @@ from .kernel import (
     green_weight_integral_max,
     origin_continuity_bound,
 )
-from .quadrature import MAX_POINTS, integrate_green, jacobi_rule, product_weights, shared_samples
+from .quadrature import (
+    MAX_POINTS,
+    MIN_PRODUCT_POINTS,
+    integrate_green,
+    jacobi_rule,
+    product_weights,
+    shared_samples,
+)
 from .solver import (
     MAX_GRID,
     ConeViolationError,
@@ -45,7 +52,7 @@ from .solver import (
     grunwald_letnikov_residual,
     solve,
 )
-from .specfun import beta
+from .specfun import beta, gamma
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -108,7 +115,7 @@ _FIELDS = (
     _Field("tau", "--tau", float, None, True),
     _Field("tol", "--tol", float, None),
     _Field("grid_points", "--grid", int, "collocation grid size"),
-    _Field("quad_points", "--quad", int, "quadrature points per panel"),
+    _Field("quad_points", "--quad", int, "Gauss-Legendre points near the kernel's kink"),
     _Field("max_iters", "--max-iters", int, None),
     _Field("u_max", "--umax", float, "certificate sampling range for u"),
     _Field("enforce_cone", None, None, None),
@@ -184,8 +191,8 @@ def cmd_kernel(args) -> int:
     params = GreenParams(args.alpha, args.sigma)
     if not 2 <= args.grid <= MAX_GRID:
         raise ValueError(f"--grid must be in [2, {MAX_GRID}]")
-    if not 1 <= args.quad <= MAX_POINTS:
-        raise ValueError(f"--quad must be in [1, {MAX_POINTS}]")
+    if not MIN_PRODUCT_POINTS <= args.quad <= MAX_POINTS:
+        raise ValueError(f"--quad must be in [{MIN_PRODUCT_POINTS}, {MAX_POINTS}]")
     ts = np.linspace(0.0, 1.0, args.grid)
     gv = green_eval(params, ts[:, None], ts[None, :])
     g_rows = ((t, s, g) for t, row in zip(ts, gv) for s, g in zip(ts, row))
@@ -269,6 +276,9 @@ def _kernel_checks(alpha: float, seed: int, perturb: float) -> list[dict]:
 # the 32 interior points they check it at
 _COMBO_QUAD = 48
 _COMBO_T = np.linspace(0.0, 1.0, 34)[1:-1]
+# a power of s beyond the samples' degree (11), so that the rule's
+# interpolation of the forcing on the samples is in error
+_COMBO_POWER = 20
 
 
 @functools.cache  # called with the nine sweep pairs only
@@ -290,8 +300,18 @@ def _combo_checks(alpha: float, sigma: float) -> list[dict]:
     checks = [_check(f"weight_integral_consistency_{tag}", consist, 1e-8)]
     ends = max(abs(green_weight_integral(params, 0.0)), abs(green_weight_integral(params, 1.0)))
     checks.append(_check(f"weight_integral_boundary_{tag}", ends, 1e-12))
+    # both rules read cos at the same samples: this bounds how the rule
+    # near the kink depends on its size, not the interpolation of cos
     split = np.max(np.abs(weights @ np.cos(s) - doubled_cos))
     checks.append(_check(f"split_consistency_{tag}", split, 1e-9))
+    # the interpolation of the forcing, against the closed form of
+    # integral G(t, s) s^(k - sigma) ds, k = _COMBO_POWER
+    a, k = alpha, _COMBO_POWER
+    power = (ts ** (a - 2.0) * ((a - 1.0 - (a - 2.0) * ts) * beta(k + 2.0 - sigma, a - 1.0)
+                                - ts * beta(k + 1.0 - sigma, a - 1.0))
+             + ts ** (a + k - sigma) * beta(k + 1.0 - sigma, a)) / gamma(a)
+    power_err = np.max(np.abs(weights @ s**k - power)) / np.max(power)
+    checks.append(_check(f"power_forcing_closed_form_{tag}", power_err, 1e-10))
     # |H(t) - H(0)| dominated by the closed bound, for sampled bounded forcings
     worst = -math.inf
     tb = ts[::4]

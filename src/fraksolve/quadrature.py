@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 MAX_POINTS = 256
+# Smallest rule ``product_weights`` takes: from 8 points on its rules
+# integrate the samples' degree-11 basis well enough that W >= 0, so the
+# product rule maps a forcing >= 0 to a non-negative integral
+MIN_PRODUCT_POINTS = 8
 
 
 class RuleConfigError(ValueError):
@@ -238,12 +242,12 @@ class _Reference(NamedTuple):
     """The reference rules of a build, for one sigma: per panel, the
     ``nodes`` of the n-point Gauss-Legendre rule of ``_rules`` and its
     ``weights`` with s^(-sigma) folded in, and the samples' Lagrange
-    ``basis`` there (n, k).  ``mass`` (panels, k, k) integrates s^(-sigma) l_a l_b over each
-    panel, and ``zone`` (_ZONE_POINTS, _ZONE_PANELS * k) integrates
-    s^(2-sigma) z_r l_b over the zone, z_r the Lagrange basis of its
-    Chebyshev points.  On the panel at 0 the rule meets s^(-sigma)
-    unresolved, but G(t, s) ~ s^2 there, so that panel carries below
-    1e-20 of any row."""
+    ``basis`` there (n, k).  ``mass`` (panels, k, k) integrates
+    s^(-sigma) l_a l_b over each panel, and ``zone`` (_ZONE_POINTS,
+    _ZONE_PANELS * k) integrates s^(2-sigma) z_r l_b over the zone, z_r
+    the Lagrange basis of its Chebyshev points.  On the panel at 0 the
+    rule meets s^(-sigma) unresolved, but G(t, s) ~ s^2 there, so that
+    panel carries below 1e-20 of any row."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -273,14 +277,15 @@ def product_weights(params: GreenParams, t, n: int) -> np.ndarray:
     W[i, p] integrates G(t_i, s) s^(-sigma) l_p(s) over the panel of
     sample p.  ``n`` sets the Gauss-Legendre rules where the kink s = t_i
     is near: left of t_i in the panel that holds it, and on every panel
-    less than its own width left of t_i.  Farther left, and on the panel
-    at 0, G(t_i, .) is smooth and is read at the panel's samples (against
-    the panel's mass matrix) or, from t_i >= 0.2, on the zone of panels
-    toward 0 at its Chebyshev points.  Right of t_i, G is t^(alpha-2)
-    (1-s)^(alpha-2) [(s-t) + (alpha-2)(1-t)s] / Gamma(alpha): in the
-    panel that holds t_i that form takes a rule of min(n,
-    ``_SMOOTH_POINTS``) points, and the panels beyond are t-independent
-    moments weighted per row.  The moments and the mass matrices come from
+    less than its own width left of t_i; it must be at least
+    ``MIN_PRODUCT_POINTS``, from which every entry of W is >= 0.  Farther
+    left, and on the panel at 0, G(t_i, .) is smooth and is read at the
+    panel's samples (against the panel's mass matrix) or, from t_i >= 0.2,
+    on the zone of panels toward 0 at its Chebyshev points.  Right of t_i,
+    G is t^(alpha-2) (1-s)^(alpha-2) [(s-t) + (alpha-2)(1-t)s] /
+    Gamma(alpha): in the panel that holds t_i that form takes a rule of
+    min(n, ``_SMOOTH_POINTS``) points, and the panels beyond are
+    t-independent moments weighted per row.  The moments and the mass matrices come from
     Gauss-Legendre rules of ``_SMOOTH_POINTS`` points per panel, so a build
     solves no eigenproblem but once per rule size.  Rows at t = 0 and t = 1,
     where G vanishes, are 0.
@@ -289,6 +294,8 @@ def product_weights(params: GreenParams, t, n: int) -> np.ndarray:
     if t.ndim != 1 or not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("product_weights: t must be a 1-d array of values in [0, 1]")
     n = _check_points(n)
+    if n < MIN_PRODUCT_POINTS:
+        raise RuleConfigError(f"product rule size must be at least {MIN_PRODUCT_POINTS}, got {n}")
     a = params.alpha
     lay = _layout()
     ref = _reference(params.sigma)

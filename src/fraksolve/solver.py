@@ -27,7 +27,7 @@ import numpy as np
 from . import exprparse
 from .exprparse import Expression
 from .kernel import GreenParams, _real, green_weight_integral_max
-from .quadrature import MAX_POINTS, product_weights, shared_samples
+from .quadrature import MAX_POINTS, MIN_PRODUCT_POINTS, product_weights, shared_samples
 from .specfun import gamma
 
 __all__ = [
@@ -155,8 +155,8 @@ class ProblemSpec:
             object.__setattr__(self, name, val)
         if not isinstance(self.enforce_cone, (bool, np.bool_)):
             raise ValueError(f"enforce_cone must be a bool, got {self.enforce_cone!r}")
-        if not 1 <= self.quad_points <= MAX_POINTS:
-            raise ValueError(f"quad_points must be in [1, {MAX_POINTS}]")
+        if not MIN_PRODUCT_POINTS <= self.quad_points <= MAX_POINTS:
+            raise ValueError(f"quad_points must be in [{MIN_PRODUCT_POINTS}, {MAX_POINTS}]")
         if not 3 <= self.grid_points <= MAX_GRID:
             raise ValueError(f"grid_points must be in [3, {MAX_GRID}]")
         if not self.max_iters >= 1:
@@ -389,9 +389,9 @@ def apply_green_operator(u: SolutionGrid, p: ProblemSpec) -> SolutionGrid:
     """One application of the integral operator to the grid function u.
 
     Output is clamped to exactly 0 at both endpoints (the kernel vanishes
-    identically there) and, with ``quad_points`` >= 8, is non-negative
-    whenever g is: the product-rule weights are then >= 0 (Tier-1 checks
-    them on the verify pairs at 33, 65 and 257 nodes).  With
+    identically there) and is non-negative whenever g is: the
+    product-rule weights are >= 0 at every allowed ``quad_points`` (Tier-1
+    checks them on the verify pairs at 33, 65 and 257 nodes).  With
     ``enforce_cone`` set, a negative g at a shared sample raises
     ConeViolationError.
     """
@@ -662,10 +662,7 @@ def check_positivity(p: ProblemSpec, u: SolutionGrid, seed: int = 0) -> Positivi
 class ResidualProfile:
     """Residual per checkpoint (the multiples of h nearest
     ``_CHECKPOINTS``), and ``floor``, the roundoff the checkpoint's GL
-    sum can carry: eps * sum_{j<terms} |c_j| * h^(-alpha) * max|u| *
-    (1 + Lambda), where Lambda = 1 + (2/pi) ln(m - 1) bounds the Lebesgue
-    constant of u's m nodes and so counts the rounding of the
-    interpolated values the sum reads, which it amplifies alike.  A
+    sum can carry: eps * sum_{j<terms} |c_j| * h^(-alpha) * max|u|.  A
     residual near its floor says nothing about the solution."""
 
     checkpoints: np.ndarray
@@ -768,7 +765,6 @@ def grunwald_letnikov_residual(p: ProblemSpec, u: SolutionGrid, h: float) -> Res
     gl = scale * np.diff(running[np.cumsum(terms) - 1], prepend=0.0)
     t = h * plan.at
     rhs = t ** (-sg) * np.asarray(g(t, lattice[plan.at]), dtype=float)
-    lebesgue = 1.0 + 2.0 / np.pi * np.log(len(u.values) - 1.0)
     floor = (np.finfo(float).eps * np.cumsum(np.abs(c))[terms - 1]
-             * scale * np.max(np.abs(u.values)) * (1.0 + lebesgue))
+             * scale * np.max(np.abs(u.values)))
     return ResidualProfile(t, np.abs(gl - rhs), floor)

@@ -305,7 +305,7 @@ _MALFORMED_FIELDS = {
     "u_max": _NOT_NUMBER | _NAN | st.floats(max_value=0.0) | st.just(float("inf")),
     "grid_points": _NOT_NUMBER | st.integers(max_value=2) | st.integers(min_value=1025)
     | st.floats(3.0, 65.0).filter(lambda v: not v.is_integer()),
-    "quad_points": _NOT_NUMBER | st.integers(max_value=0) | st.integers(min_value=257)
+    "quad_points": _NOT_NUMBER | st.integers(max_value=7) | st.integers(min_value=257)
     | st.floats(1.0, 65.0).filter(lambda v: not v.is_integer()),
     "max_iters": _NOT_NUMBER | st.integers(max_value=0) | st.floats(1.0, 9.0).filter(
         lambda v: not v.is_integer()),
@@ -355,7 +355,7 @@ _VALID = {
     "alpha": st.floats(3.0, 4.0, exclude_min=True),
     "sigma": st.floats(0.0, 0.99, exclude_min=True),
     "lambda": _POSITIVE, "tau": _POSITIVE, "tol": _POSITIVE, "u_max": _POSITIVE,
-    "grid_points": st.integers(3, 1024), "quad_points": st.integers(1, 256),
+    "grid_points": st.integers(3, 1024), "quad_points": st.integers(8, 256),
     "max_iters": st.integers(1, 10**6),
     "enforce_cone": st.booleans(),
 }
@@ -628,7 +628,7 @@ def test_kernel_invalid_params(tmp_path):
     assert main(["kernel", "--alpha", "3.5", "--sigma", "1.5", "--out", str(tmp_path)]) == 1
 
 
-@pytest.mark.parametrize("quad", ["0", "300"])
+@pytest.mark.parametrize("quad", ["0", "7", "300"])
 def test_kernel_bad_quad_writes_nothing(quad, tmp_path, capsys):
     out = tmp_path / "k"
     assert main(["kernel", "--alpha", "3.5", "--sigma", "0.5", "--quad", quad,

@@ -14,7 +14,7 @@ from fraksolve.quadrature import (
     product_weights,
     shared_samples,
 )
-from fraksolve.solver import chebyshev_lobatto_nodes
+from fraksolve.solver import ProblemSpec, chebyshev_lobatto_nodes
 from fraksolve.specfun import gamma
 
 
@@ -184,11 +184,14 @@ def test_product_weights_are_non_negative_from_eight_points(grid, n):
         assert product_weights(GreenParams(alpha, sigma), t, n).min() >= 0.0
 
 
-def test_product_weights_below_eight_points_can_be_negative():
-    # the bound the README states: 6 points do not integrate the degree-11
-    # basis, and W takes negative entries
-    t = chebyshev_lobatto_nodes(33)
-    assert min(product_weights(GreenParams(a, sg), t, 6).min() for a, sg in VERIFY_PAIRS) < 0.0
+@pytest.mark.parametrize("n", range(1, 8))
+def test_product_rules_below_eight_points_are_refused(n):
+    # below 8 points the rules do not integrate the degree-11 basis and W
+    # can take negative entries (-3.8e-6 at 6 points), so no caller gets one
+    with pytest.raises(RuleConfigError):
+        product_weights(GreenParams(3.5, 0.5), chebyshev_lobatto_nodes(33), n)
+    with pytest.raises(ValueError, match=r"quad_points must be in \[8, 256\]"):
+        ProblemSpec(GreenParams(3.5, 0.5), "1", lambda_claim=1.0, tau=1.0, quad_points=n)
 
 
 def test_product_weights_rows_are_L_and_vanish_at_the_ends():

@@ -1092,28 +1092,28 @@ RESIDUAL_STEPS = [1e-3, 5e-4, 3e-3, 7e-4]
 
 def _residual_loop(p, u, h):
     """Per-checkpoint reference for the residual oracle: coefficients by
-    the recurrence, an exactly rounded GL sum, scalar g.  Also returns
-    each sum's roundoff floor eps * sum|c_j| * h^(-alpha) * max|u| *
-    (2 + (2/pi) ln(m - 1)), the last factor counting the rounding of the
-    interpolated values through the Lebesgue constant of m nodes."""
+    the recurrence, an exactly rounded GL sum, scalar g.  u is read where
+    the oracle reads it, at the lattice h * k, so the two differ only by
+    the sums' rounding.  Also returns each sum's roundoff floor
+    eps * sum|c_j| * h^(-alpha) * max|u|."""
     a, sg = p.params.alpha, p.params.sigma
     shift = int(round(a / 2.0))
     g = p.g_callable()
+    at_all = np.rint(CHECKPOINTS / h).astype(int)
+    lattice = u.interpolate(h * np.arange(at_all[-1] + 1 + shift))
     res, floor = [], []
-    for at in np.rint(CHECKPOINTS / h).astype(int):
+    for at in at_all:
         t = h * at
         terms = at + 1 + shift
         c = np.empty(terms)
         c[0] = 1.0
         for k in range(1, terms):
             c[k] = c[k - 1] * (k - 1.0 - a) / k
-        uvals = u.interpolate(t - h * (np.arange(terms) - shift))
+        uvals = lattice[at + shift - np.arange(terms)]
         gl = h ** (-a) * math.fsum(c * uvals)
-        rhs = t ** (-sg) * float(np.asarray(g(t, u.interpolate(t))))
+        rhs = t ** (-sg) * float(np.asarray(g(t, lattice[at])))
         res.append(abs(gl - rhs))
-        lebesgue = 1.0 + 2.0 / math.pi * math.log(len(u.values) - 1)
-        floor.append(np.finfo(float).eps * np.abs(c).sum() * h ** (-a) * np.max(np.abs(u.values))
-                     * (1.0 + lebesgue))
+        floor.append(np.finfo(float).eps * np.abs(c).sum() * h ** (-a) * np.max(np.abs(u.values)))
     return np.array(res), np.array(floor)
 
 
